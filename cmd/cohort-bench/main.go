@@ -81,12 +81,11 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 	o.GA.Pop, o.GA.Generations = *pop, *gens
 	o.Jobs = cu.Jobs
 	o.GA.Workers = cu.Jobs
-	// Like the worker count, the oracle batch width and the curve oracle
-	// change only the cost of a run, never its results — both are excluded
-	// from benchConfigKey so scalar, batched and curve runs of one
-	// configuration share a key and cohort-report can diff them. The tier-2
-	// surrogate does change results and joins the key when enabled.
-	o.GA.OracleBatch = cu.Batch
+	// Like the worker count, the curve oracle changes only the cost of a
+	// run, never its results — it is excluded from benchConfigKey so curve
+	// and batched-memo runs of one configuration share a key and
+	// cohort-report can diff them. The tier-2 surrogate does change results
+	// and joins the key when enabled.
 	o.GA.OracleCurve = cu.Curve
 	o.GA.Surrogate = cu.Surrogate
 	if *benches != "" {
@@ -322,7 +321,6 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		man.Traces = refs
 		man.Seed = int64(*seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
-		man.OracleBatch = cu.Batch
 		man.Curve = cu.Curve
 		man.Engine = &engine
 		man.Metrics = o.Metrics.Snapshot()

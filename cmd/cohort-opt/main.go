@@ -99,7 +99,6 @@ func main() {
 	gc := cohort.DefaultGA(*gaSd)
 	gc.Pop, gc.Generations = *pop, *gens
 	gc.Workers = cu.Jobs
-	gc.OracleBatch = cu.Batch
 	gc.OracleCurve = cu.Curve
 	gc.Surrogate = cu.Surrogate
 
@@ -136,8 +135,7 @@ func main() {
 
 	if man != nil {
 		// The config key covers every parameter that determines the Result —
-		// and not Workers, OracleBatch or OracleCurve, which by contract do
-		// not. The tier-2 surrogate does and joins the key when enabled (and
+		// and not Workers or OracleCurve, which by contract do not. The tier-2 surrogate does and joins the key when enabled (and
 		// only then, so surrogate-off keys stay byte-stable).
 		k := parallel.NewKey("cohort-opt/config")
 		k.Str(experiments.Fingerprint(tr)).Int(*cores)
@@ -157,7 +155,6 @@ func main() {
 		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: experiments.Fingerprint(tr)}}
 		man.Seed = int64(*seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
-		man.OracleBatch = cu.Batch
 		man.Curve = cu.Curve
 		engine := res.Engine
 		man.Engine = &engine

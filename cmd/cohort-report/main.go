@@ -55,7 +55,6 @@ type Group struct {
 // RunRow summarizes one manifest.
 type RunRow struct {
 	Workers     int                `json:"workers"`
-	OracleBatch int                `json:"oracle_batch,omitempty"`
 	Curve       bool               `json:"curve,omitempty"`
 	Seed        int64              `json:"seed"`
 	StartedAt   string             `json:"started_at"`
@@ -74,6 +73,9 @@ type Report struct {
 // NumCPU/GoMaxProcs record the host's parallel capacity (optional, absent in
 // entries written before the fields existed) so that wall times are
 // self-explaining — e.g. workers=8 slower than workers=1 on a 1-CPU host.
+// OracleBatch is the batch width that entries recorded while the CLIs still
+// offered -batch; new entries leave it zero, and it is kept so appending to
+// an older file does not drop its history.
 type TrajectoryEntry struct {
 	Tool        string             `json:"tool"`
 	ConfigKey   string             `json:"config_key"`
@@ -224,7 +226,6 @@ func merge(ms []*obs.Manifest) *Report {
 			}
 			g.Runs = append(g.Runs, RunRow{
 				Workers:     m.Workers,
-				OracleBatch: m.OracleBatch,
 				Curve:       m.Curve,
 				Seed:        m.Seed,
 				StartedAt:   m.StartedAt,
@@ -247,7 +248,7 @@ func render(w io.Writer, rep *Report, md bool) {
 	for _, g := range rep.Groups {
 		t := stats.NewTable(
 			fmt.Sprintf("%s @ %s", g.Tool, obs.ShortKey(g.ConfigKey)),
-			"workers", "batch", "curve", "seed", "started", "wall s", "engine jobs", "hits", "misses", "metrics")
+			"workers", "curve", "seed", "started", "wall s", "engine jobs", "hits", "misses", "metrics")
 		for _, r := range g.Runs {
 			jobs, hits, misses := "-", "-", "-"
 			if r.Engine != nil {
@@ -255,15 +256,11 @@ func render(w io.Writer, rep *Report, md bool) {
 				hits = fmt.Sprintf("%d", r.Engine.CacheHits)
 				misses = fmt.Sprintf("%d", r.Engine.CacheMisses)
 			}
-			batch := "-" // scalar oracle
-			if r.OracleBatch > 1 {
-				batch = fmt.Sprintf("%d", r.OracleBatch)
-			}
 			curve := "-"
 			if r.Curve {
 				curve = "yes"
 			}
-			t.AddRow(fmt.Sprintf("%d", r.Workers), batch, curve, fmt.Sprintf("%d", r.Seed), r.StartedAt,
+			t.AddRow(fmt.Sprintf("%d", r.Workers), curve, fmt.Sprintf("%d", r.Seed), r.StartedAt,
 				fmt.Sprintf("%.2f", r.WallSeconds), jobs, hits, misses, fmt.Sprintf("%d", r.Metrics))
 		}
 		if md {
@@ -314,7 +311,7 @@ func pct(part, total int64) string {
 
 // appendTrajectory appends one entry per manifest to the perf-trajectory
 // file, creating it when absent. Exact duplicates (same tool, key, workers,
-// oracle batch, start time) are dropped so re-running the report is
+// oracle batch, curve, start time) are dropped so re-running the report is
 // idempotent.
 func appendTrajectory(path string, ms []*obs.Manifest) error {
 	traj := &Trajectory{Schema: TrajectorySchema}
@@ -337,7 +334,6 @@ func appendTrajectory(path string, ms []*obs.Manifest) error {
 			Tool:        m.Tool,
 			ConfigKey:   m.ConfigKey,
 			Workers:     m.Workers,
-			OracleBatch: m.OracleBatch,
 			Curve:       m.Curve,
 			StartedAt:   m.StartedAt,
 			WallSeconds: m.WallSeconds,

@@ -45,8 +45,8 @@ func TestFlagMatrix(t *testing.T) {
 		{
 			tool: "cohort-bench",
 			reg:  groups{work: true, obs: true, profile: true},
-			args: []string{"-j", "4", "-batch", "8", "-log-level", "debug", "-log-json", "-memprofile", "mem.out"},
-			want: Common{Jobs: 4, Batch: 8, Curve: true, LogLevel: "debug", LogJSON: true, MemProfile: "mem.out"},
+			args: []string{"-j", "4", "-log-level", "debug", "-log-json", "-memprofile", "mem.out"},
+			want: Common{Jobs: 4, Curve: true, LogLevel: "debug", LogJSON: true, MemProfile: "mem.out"},
 		},
 		{
 			tool: "cohort-opt",
@@ -93,6 +93,15 @@ func TestFlagMatrix(t *testing.T) {
 	c.RegisterObs(fs)
 	if err := fs.Parse([]string{"-j", "4"}); err == nil {
 		t.Errorf("unregistered -j parsed without error")
+	}
+
+	// The optimizer picks its own oracle: no work group offers -batch.
+	c = New("cohort-bench")
+	fs = flag.NewFlagSet("cohort-bench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c.RegisterWork(fs)
+	if err := fs.Parse([]string{"-batch", "16"}); err == nil {
+		t.Errorf("-batch parsed without error")
 	}
 }
 

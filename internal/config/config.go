@@ -200,7 +200,10 @@ func (g CacheGeometry) Sets() int { return g.SizeBytes / (g.LineBytes * g.Ways) 
 // Lines returns the total number of lines the cache holds.
 func (g CacheGeometry) Lines() int { return g.SizeBytes / g.LineBytes }
 
-func (g CacheGeometry) validate(name string) error {
+// Validate checks that the geometry describes a buildable cache: positive
+// size and ways, a power-of-two line size, and a power-of-two set count
+// that divides the size exactly. name labels the cache level in the error.
+func (g CacheGeometry) Validate(name string) error {
 	switch {
 	case g.SizeBytes <= 0:
 		return fmt.Errorf("config: %s size must be positive, got %d", name, g.SizeBytes)
@@ -332,10 +335,10 @@ func (s *System) Validate() error {
 			}
 		}
 	}
-	if err := s.L1.validate("L1"); err != nil {
+	if err := s.L1.Validate("L1"); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	if err := s.LLC.validate("LLC"); err != nil {
+	if err := s.LLC.Validate("LLC"); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if s.L1.LineBytes != s.LLC.LineBytes {

@@ -261,7 +261,7 @@ func TestPropertyGeometry(t *testing.T) {
 		line := 1 << (lineLog%6 + 4)
 		ways := 1 << (waysLog % 4)
 		g := CacheGeometry{SizeBytes: sets * line * ways, LineBytes: line, Ways: ways}
-		if err := g.validate("x"); err != nil {
+		if err := g.Validate("x"); err != nil {
 			return false
 		}
 		return g.Sets() == sets && g.Lines() == sets*ways
@@ -322,7 +322,7 @@ func TestGeometryValidateDirect(t *testing.T) {
 		{SizeBytes: 1000, LineBytes: 64, Ways: 1},
 	}
 	for i, g := range bad {
-		if err := g.validate("x"); err == nil {
+		if err := g.Validate("x"); err == nil {
 			t.Errorf("case %d accepted: %+v", i, g)
 		}
 	}

@@ -10,25 +10,21 @@ import (
 
 // BenchmarkOptimize measures the GA on the default problem shape from the
 // acceptance criterion (population 20 × 16 generations) across worker counts
-// and oracle tiers. On a multi-core machine -j 4 should come in at
-// ≥2× over -j 1; on a single-CPU host the worker pool degrades to ~1× with
-// bounded overhead, and the speedup must come from the oracle tiers
-// instead: batch ≥ 16 amortizes the stream analysis across configurations
-// (one SoA walk per fresh timer chunk plus a run-lifetime per-core memo,
-// the PR-7 acceptance-criterion cell), and the curve cells replace every
-// fresh stream walk with an O(log k) index query — the PR-10 criterion is
-// the curve cells at ≥5× over the batched baseline, exact tier only. Every
-// exact sub-benchmark's Result is asserted byte-identical against the
-// serial scalar baseline, so the benchmark doubles as an equivalence check
-// at full problem size; the surrogate cell (tier 2, approximate) is
+// and oracle tiers. The default cells run the batched per-core memo — one
+// SoA walk per fresh timer chunk plus a run-lifetime per-core memo — and
+// the curve cells replace every fresh stream walk with an O(log k) index
+// query. On a multi-core machine -j 4 should come in at ≥2× over -j 1; on a
+// single-CPU host the worker pool degrades to ~1× with bounded overhead.
+// Every exact sub-benchmark's Result is asserted byte-identical against the
+// j=1 batched-memo baseline, so the benchmark doubles as an equivalence
+// check at full problem size; the surrogate cell (tier 2, approximate) is
 // excluded from that comparison and reported for reference.
 //
 // The curve cells pin curveBuildBudget to 0 (always eager) so they measure
 // the index steady state — construction runs once per process and every
 // later iteration fetches from the curve cache — independent of where the
 // production amortization gate sits. The gate itself is pinned by
-// TestCurveAmortizationGate, and BENCH_pr10.json records that cold default
-// CLI runs are unaffected.
+// TestCurveAmortizationGate.
 //
 //	go test -bench Optimize -benchtime 3x ./internal/opt
 func BenchmarkOptimize(b *testing.B) {
@@ -38,17 +34,14 @@ func BenchmarkOptimize(b *testing.B) {
 	b.Cleanup(func() { curveBuildBudget = oldBudget })
 	var baseline *Result
 	for _, cell := range []struct {
-		workers, batch int
-		curve, surr    bool
+		workers     int
+		curve, surr bool
 	}{
 		{workers: 1}, {workers: 2}, {workers: 4}, {workers: 8},
-		{workers: 1, batch: 4}, {workers: 1, batch: 16}, {workers: 1, batch: 64}, {workers: 4, batch: 16},
 		{workers: 1, curve: true}, {workers: 4, curve: true}, {workers: 8, curve: true},
-		{workers: 1, batch: 16, curve: true}, {workers: 4, batch: 16, curve: true},
-		{workers: 8, batch: 16, curve: true},
 		{workers: 1, curve: true, surr: true},
 	} {
-		name := fmt.Sprintf("j=%d/batch=%d", cell.workers, cell.batch)
+		name := fmt.Sprintf("j=%d", cell.workers)
 		if cell.curve {
 			name += "/curve"
 		}
@@ -59,7 +52,6 @@ func BenchmarkOptimize(b *testing.B) {
 			gc := DefaultGA(42)
 			gc.Pop, gc.Generations = 20, 16
 			gc.Workers = cell.workers
-			gc.OracleBatch = cell.batch
 			gc.OracleCurve = cell.curve
 			gc.Surrogate = cell.surr
 			b.ReportAllocs()
@@ -77,7 +69,7 @@ func BenchmarkOptimize(b *testing.B) {
 			if baseline == nil {
 				baseline = last
 			} else if !reflect.DeepEqual(baseline, last) {
-				b.Fatalf("%s result differs from j=1 scalar baseline", name)
+				b.Fatalf("%s result differs from the j=1 baseline", name)
 			}
 		})
 	}

@@ -1,10 +1,12 @@
 // Tier-1 curve oracle glue: per-core analysis.HitCurve construction with a
-// process-wide content-addressed cache and the curve-backed θ_is sweep (the
-// evaluation assembly itself reads the installed curves directly — see
-// evaluateSrcOwned). The curves are exact — every value they serve equals an
+// process-wide content-addressed cache and the amortization gate that
+// decides when to install it (the evaluation assembly and the θ_is sweep
+// read the installed curves directly — see evaluateSrc and thetaIS). The
+// curves are exact — every value they serve equals an
 // analysis.IsolationHits result — so this file changes only the oracle's
 // cost, never its answers; the equivalence suites in curve_equiv_test.go
-// hold the curve oracle to bit-identity with the scalar and batched paths.
+// hold the curve oracle to bit-identity with Problem.Evaluate and with the
+// batched memo.
 package opt
 
 import (
@@ -104,7 +106,7 @@ func curveForStream(s trace.Stream, geom config.CacheGeometry, lat config.Latenc
 }
 
 // curveBuildBudget is the number of genome-cache misses after which a
-// curve-mode evaluator stops serving queries from its fallback exact oracle
+// curve-mode evaluator stops serving queries from the batched per-core memo
 // and builds the per-core hit-curve indexes. Construction costs one replay
 // per regime plus the batched verification walk — roughly twice the regime
 // count in stream walks — and at paper scale the regime count rivals or
@@ -112,8 +114,8 @@ func curveForStream(s trace.Stream, geom config.CacheGeometry, lat config.Latenc
 // dedups to ~250-340 fresh genomes while full-scale streams carry hundreds
 // of regimes), so building mid-way through a one-shot default run is a
 // guaranteed net loss: measured on fig5a, every budget that fires costs
-// ~0.5 s of construction against queries the fallback serves in less. The
-// budget therefore sits above every one-shot run we ship; only genuinely
+// ~0.5 s of construction against queries the batched memo serves in less.
+// The budget therefore sits above every one-shot run we ship; only genuinely
 // large searches — cohort-opt at exploratory pop/gens, where thousands of
 // fresh genomes follow the trigger — build cold. The big wins need no
 // trigger at all: warm runs (curves already in the process-wide cache —
@@ -149,12 +151,7 @@ func curvesWarm(p *Problem) bool {
 // completed oracle lane for live progress.
 func (e *evaluator) installCurves() {
 	p := e.p
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
-		}
-	}
+	timed := p.timedCores()
 	curves := parallel.Map(e.workers, len(timed), func(g int) *analysis.HitCurve {
 		return curveForStream(p.Streams[timed[g]], p.L1, p.Lat)
 	})
@@ -162,24 +159,6 @@ func (e *evaluator) installCurves() {
 	for g := range timed {
 		e.curves[timed[g]] = curves[g]
 	}
+	e.coreMemo = nil
 	e.progress.AddLanes(int64(len(timed)))
 }
-
-// thetaISCurve is thetaIS on the curve oracle: θ_is read off each installed
-// curve through the shared saturation sweep — the same probe sequence as
-// the scalar sweep, answered in O(log k) per probe, so the result is
-// bit-identical. Requires installCurves to have run (eager curve mode).
-func thetaISCurve(p *Problem, e *evaluator) []config.Timer {
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
-		}
-	}
-	out := make([]config.Timer, len(timed))
-	for g := range timed {
-		out[g], _ = e.curves[timed[g]].SaturationTimer()
-	}
-	return out
-}
-

@@ -10,10 +10,11 @@ import (
 
 // The curve-oracle contract: OracleCurve changes only the cost of a run,
 // never its Result — for both engines, every seed, cold and warm curve
-// cache, and across the full Workers × OracleBatch grid. The fail-closed
-// tests prove a seeded curve fault (a skewed breakpoint) makes exactly
-// these comparisons trip, and the surrogate tests pin tier 2: pruning saves
-// evaluations without ever moving the reported optimum.
+// cache, and every worker count. Problem.Evaluate is the reference and the
+// batched memo the other source (see compareOracles). The fail-closed test
+// proves a seeded curve fault (a skewed breakpoint) makes these comparisons
+// trip, and the surrogate tests pin tier 2: pruning saves evaluations
+// without ever moving the reported optimum.
 
 // eagerCurves forces curve installation regardless of run size for one
 // test: these suites pin the curve-served query path itself; the
@@ -28,7 +29,6 @@ func eagerCurves(t *testing.T) {
 }
 
 func TestOptimizeCurveOracleEquivalence(t *testing.T) {
-	eagerCurves(t)
 	for _, cfg := range []struct {
 		name  string
 		timed []bool
@@ -40,72 +40,64 @@ func TestOptimizeCurveOracleEquivalence(t *testing.T) {
 		for _, seed := range equivalenceSeeds {
 			gc := DefaultGA(seed)
 			gc.Pop, gc.Generations = 10, 6
-			scalar, err := Optimize(p, gc)
+			// compareOracles builds the curves from a cold cache; the warm
+			// re-run below fetches them.
+			if evalDiffers, resultsDiffer := compareOracles(t, p, gaRunner(p, gc)); evalDiffers || resultsDiffer {
+				t.Errorf("%s seed %d (cold cache): eval mismatch %v, result mismatch %v",
+					cfg.name, seed, evalDiffers, resultsDiffer)
+			}
+			memo, err := Optimize(p, gc)
 			if err != nil {
-				t.Fatalf("%s seed %d scalar: %v", cfg.name, seed, err)
+				t.Fatal(err)
 			}
 			gc.OracleCurve = true
-			ResetCurveCache()
-			for _, cache := range []string{"cold", "warm"} {
-				curve, err := Optimize(p, gc)
-				if err != nil {
-					t.Fatalf("%s seed %d curve (%s): %v", cfg.name, seed, cache, err)
-				}
-				if !reflect.DeepEqual(scalar, curve) {
-					t.Errorf("%s seed %d: scalar and curve (%s cache) GA results differ\nscalar: %+v\ncurve: %+v",
-						cfg.name, seed, cache, scalar, curve)
-				}
+			warm, err := Optimize(p, gc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(memo, warm) {
+				t.Errorf("%s seed %d: batched-memo and curve (warm cache) GA results differ\nmemo: %+v\ncurve: %+v",
+					cfg.name, seed, memo, warm)
 			}
 		}
 	}
 }
 
 func TestHillClimbCurveOracleEquivalence(t *testing.T) {
-	eagerCurves(t)
 	p := problemFor("water", 0.01, []bool{true, true, true, false})
 	for _, seed := range equivalenceSeeds {
 		hc := DefaultHC(seed)
 		hc.Restarts, hc.MaxSteps = 3, 20
-		scalar, err := HillClimb(p, hc)
-		if err != nil {
-			t.Fatalf("seed %d scalar: %v", seed, err)
-		}
-		hc.OracleCurve = true
-		curve, err := HillClimb(p, hc)
-		if err != nil {
-			t.Fatalf("seed %d curve: %v", seed, err)
-		}
-		if !reflect.DeepEqual(scalar, curve) {
-			t.Errorf("seed %d: scalar and curve hill-climb results differ\nscalar: %+v\ncurve: %+v",
-				seed, scalar, curve)
+		if evalDiffers, resultsDiffer := compareOracles(t, p, hcRunner(p, hc)); evalDiffers || resultsDiffer {
+			t.Errorf("seed %d: eval mismatch %v, result mismatch %v", seed, evalDiffers, resultsDiffer)
 		}
 	}
 }
 
-// TestCurveOracleWorkersCross is the acceptance grid: curve on/off ×
-// Workers {1, 4, 8} × OracleBatch {1, 16}, every cell against the serial
-// scalar reference.
+// TestCurveOracleWorkersCross is the acceptance grid: eagerly installed
+// curves at Workers {1, 4, 8}, cold cache first and warm afterwards, every
+// cell against the serial batched-memo reference.
 func TestCurveOracleWorkersCross(t *testing.T) {
 	eagerCurves(t)
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	gc := DefaultGA(42)
 	gc.Pop, gc.Generations = 10, 6
+	gc.Workers = 1
 	ref, err := Optimize(p, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetCurveCache()
-	for _, curve := range []bool{false, true} {
+	gc.OracleCurve = true
+	for _, cache := range []string{"cold", "warm"} {
 		for _, w := range []int{1, 4, 8} {
-			for _, ob := range []int{1, 16} {
-				gc.OracleCurve, gc.Workers, gc.OracleBatch = curve, w, ob
-				got, err := Optimize(p, gc)
-				if err != nil {
-					t.Fatalf("curve %v workers %d batch %d: %v", curve, w, ob, err)
-				}
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("curve %v workers %d batch %d: Result differs from serial scalar reference", curve, w, ob)
-				}
+			gc.Workers = w
+			got, err := Optimize(p, gc)
+			if err != nil {
+				t.Fatalf("%s cache workers %d: %v", cache, w, err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s cache workers %d: curve Result differs from the batched-memo reference", cache, w)
 			}
 		}
 	}
@@ -113,31 +105,27 @@ func TestCurveOracleWorkersCross(t *testing.T) {
 
 // TestCurveOracleFailsClosed proves the curve equivalence suite cannot pass
 // vacuously: a seeded breakpoint skew — applied after construction
-// verification, so only the query path is wrong — must make the
-// scalar-vs-curve comparison report a mismatch.
+// verification, so only the query path is wrong — must make the evaluator
+// sweep and the Result comparison report a mismatch. (The reported optimum
+// itself may sit away from every skewed boundary, so Result.Eval alone is
+// not required to trip.)
 func TestCurveOracleFailsClosed(t *testing.T) {
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	gc := DefaultGA(42)
 	gc.Pop, gc.Generations = 10, 6
-	scalar, err := Optimize(p, gc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	analysis.TestHooks.CurveBreakpointSkew = 1
 	defer func() { analysis.TestHooks.CurveBreakpointSkew = 0 }()
-	gc.OracleCurve = true
-	skewed, err := Optimize(p, gc)
-	if err != nil {
-		t.Fatal(err)
+	if !sweepMismatch(t, p) {
+		t.Error("seeded curve fault not detected: evaluator batches equal Problem.Evaluate")
 	}
-	if reflect.DeepEqual(scalar, skewed) {
-		t.Fatal("seeded curve fault not detected: skewed curve Result equals scalar Result")
+	if _, resultsDiffer := compareOracles(t, p, gaRunner(p, gc)); !resultsDiffer {
+		t.Error("seeded curve fault not detected: skewed curve Result equals the batched-memo Result")
 	}
 }
 
 // TestSurrogatePrunes pins tier 2's effect and its guarantee at once: with
 // the prefilter on, the GA computes strictly fewer exact evaluations, yet
-// the reported optimum is exactly the scalar run's — on this workload the
+// the reported optimum is exactly the exact run's — on this workload the
 // curves are complete, so the surrogate equals the exact fitness wherever
 // it is consulted and pruning can only skip children that provably cannot
 // improve the best. The returned Eval must also re-derive bit-identically
@@ -146,7 +134,7 @@ func TestSurrogatePrunes(t *testing.T) {
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	gc := DefaultGA(42)
 	gc.Pop, gc.Generations = 20, 12
-	scalar, err := Optimize(p, gc)
+	exact, err := Optimize(p, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +143,12 @@ func TestSurrogatePrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if surr.Evaluations >= scalar.Evaluations {
-		t.Fatalf("surrogate pruned nothing: %d evaluations vs %d exact", surr.Evaluations, scalar.Evaluations)
+	if surr.Evaluations >= exact.Evaluations {
+		t.Fatalf("surrogate pruned nothing: %d evaluations vs %d exact", surr.Evaluations, exact.Evaluations)
 	}
-	if !reflect.DeepEqual(surr.Timers, scalar.Timers) || !reflect.DeepEqual(surr.Eval, scalar.Eval) {
+	if !reflect.DeepEqual(surr.Timers, exact.Timers) || !reflect.DeepEqual(surr.Eval, exact.Eval) {
 		t.Errorf("surrogate moved the optimum:\nexact: %v %+v\nsurrogate: %v %+v",
-			scalar.Timers, scalar.Eval, surr.Timers, surr.Eval)
+			exact.Timers, exact.Eval, surr.Timers, surr.Eval)
 	}
 	if re := p.Evaluate(surr.Timers); !reflect.DeepEqual(re, surr.Eval) {
 		t.Errorf("reported Eval does not re-derive from reported Timers")
@@ -225,11 +213,11 @@ func TestSurrogateRequiresCurve(t *testing.T) {
 }
 
 // TestCurveAmortizationGate pins the installation policy itself: a cold run
-// shorter than curveBuildBudget never constructs an index (the fallback
-// exact oracle serves everything), a longer run installs the curves
-// mid-flight at the budget boundary, a warm evaluator installs eagerly at
-// construction — and the evaluations are bit-identical on every side of
-// every switch.
+// shorter than curveBuildBudget never constructs an index (the batched memo
+// serves everything), a longer run installs the curves mid-flight at the
+// budget boundary and drops the memo, a warm evaluator installs eagerly at
+// construction — and the evaluations equal Problem.Evaluate on every side
+// of every switch.
 func TestCurveAmortizationGate(t *testing.T) {
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	genomes := make([][]config.Timer, 24)
@@ -237,22 +225,21 @@ func TestCurveAmortizationGate(t *testing.T) {
 		th := config.Timer(i + 1)
 		genomes[i] = []config.Timer{th, th + 3, 2*th + 1, th}
 	}
-	scalar := newEvaluator(p, 1, 0, false, false, nil)
-	want := scalar.batch(genomes)
+	want := referenceEvals(p, genomes)
 
 	old := curveBuildBudget
 	t.Cleanup(func() { curveBuildBudget = old })
 
 	// Short cold run: the budget is out of reach, so the index must never be
-	// built and the scalar path must serve the whole run.
+	// built and the batched memo must serve the whole run.
 	curveBuildBudget = int64(len(genomes)) + 1
 	ResetCurveCache()
-	lazy := newEvaluator(p, 1, 0, true, false, nil)
+	lazy := newEvaluator(p, 1, true, false, nil)
 	if lazy.curves != nil {
 		t.Fatal("cold evaluator installed curves at construction despite the budget")
 	}
 	if got := lazy.batch(genomes); !reflect.DeepEqual(got, want) {
-		t.Fatal("lazy curve evaluator diverged from scalar")
+		t.Fatal("lazy curve evaluator diverged from Problem.Evaluate")
 	}
 	if lazy.curves != nil {
 		t.Fatalf("curves built below the budget (%d misses < %d)", lazy.cacheMisses, curveBuildBudget)
@@ -262,10 +249,10 @@ func TestCurveAmortizationGate(t *testing.T) {
 	// installation, and the combined results must still match.
 	curveBuildBudget = 8
 	ResetCurveCache()
-	mid := newEvaluator(p, 1, 0, true, false, nil)
+	mid := newEvaluator(p, 1, true, false, nil)
 	first := mid.batch(genomes[:12])
-	if mid.curves == nil {
-		t.Fatalf("curves not built after %d misses with budget %d", mid.cacheMisses, curveBuildBudget)
+	if mid.curves == nil || mid.coreMemo != nil {
+		t.Fatalf("curves not installed after %d misses with budget %d", mid.cacheMisses, curveBuildBudget)
 	}
 	second := mid.batch(genomes[12:])
 	if got := append(append([]Evaluation(nil), first...), second...); !reflect.DeepEqual(got, want) {
@@ -276,11 +263,11 @@ func TestCurveAmortizationGate(t *testing.T) {
 	// evaluator over the same problem installs them eagerly — a fetch, not
 	// a build — even though the budget is far away.
 	curveBuildBudget = 1 << 30
-	warm := newEvaluator(p, 1, 0, true, false, nil)
+	warm := newEvaluator(p, 1, true, false, nil)
 	if warm.curves == nil {
 		t.Fatal("warm evaluator did not install cached curves eagerly")
 	}
 	if got := warm.batch(genomes); !reflect.DeepEqual(got, want) {
-		t.Fatal("warm curve evaluator diverged from scalar")
+		t.Fatal("warm curve evaluator diverged from Problem.Evaluate")
 	}
 }

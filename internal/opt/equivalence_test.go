@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,13 +74,90 @@ func TestHillClimbSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// The batched-oracle contract: OracleBatch changes only the cost of a run,
-// never its Result. The differential tests compare full Result structs
-// between the scalar oracle and every batch width, for both engines, across
-// seeds; the fail-closed test proves a seeded oracle fault makes exactly
-// this comparison trip.
+// The exact-oracle contract: the evaluator's hit source changes only the
+// cost of a run, never its Result. Problem.Evaluate — the scalar walk — is
+// the reference. sweepMismatch holds every evaluator batch to it; the
+// batched tests below hold each Result.Eval to it; compareOracles (used by
+// the curve tests) also holds the two sources' full Results to each other.
+// The fail-closed tests prove a seeded fault in either source makes the
+// sweep and the Result comparison trip.
 
-var oracleBatchWidths = []int{1, 2, 7, 64}
+// sweepMismatch drives each hit source's evaluator — the batched memo and
+// eagerly installed curves — through one batch that visits every θ of each
+// timed core's search range [1, θ_is], and reports whether any evaluation
+// differs from Problem.Evaluate.
+func sweepMismatch(t *testing.T, p *Problem) bool {
+	t.Helper()
+	eagerCurves(t)
+	ResetCurveCache()
+	var want []Evaluation
+	differs := false
+	for _, curve := range []bool{false, true} {
+		e := newEvaluator(p, 4, curve, false, nil)
+		if curve != (e.curves != nil) {
+			t.Fatalf("curve %v: evaluator installed curves %v", curve, e.curves != nil)
+		}
+		thetaIS := e.thetaIS()
+		var top config.Timer
+		for _, th := range thetaIS {
+			top = max(top, th)
+		}
+		genomes := make([][]config.Timer, top)
+		for k := range genomes {
+			genes := make([]config.Timer, len(thetaIS))
+			for g := range genes {
+				genes[g] = min(config.Timer(k+1), thetaIS[g])
+			}
+			genomes[k] = genes
+		}
+		if want == nil {
+			want = referenceEvals(p, genomes)
+		}
+		if !reflect.DeepEqual(e.batch(genomes), want) {
+			differs = true
+		}
+	}
+	return differs
+}
+
+// compareOracles runs one engine configuration on each hit source — the
+// batched per-core memo (curve oracle off) and eagerly installed hit curves,
+// built from a cold curve cache — and reports whether either Result.Eval
+// differs from Problem.Evaluate at that Result's timers, and whether the two
+// Results differ anywhere.
+func compareOracles(t *testing.T, p *Problem, run func(curve bool) (*Result, error)) (evalDiffers, resultsDiffer bool) {
+	t.Helper()
+	eagerCurves(t)
+	ResetCurveCache()
+	memo, err := run(false)
+	if err != nil {
+		t.Fatalf("batched memo: %v", err)
+	}
+	curve, err := run(true)
+	if err != nil {
+		t.Fatalf("curves: %v", err)
+	}
+	for _, r := range []*Result{memo, curve} {
+		if !reflect.DeepEqual(r.Eval, p.Evaluate(r.Timers)) {
+			evalDiffers = true
+		}
+	}
+	return evalDiffers, !reflect.DeepEqual(memo, curve)
+}
+
+func gaRunner(p *Problem, gc GAConfig) func(curve bool) (*Result, error) {
+	return func(curve bool) (*Result, error) {
+		gc.OracleCurve = curve
+		return Optimize(p, gc)
+	}
+}
+
+func hcRunner(p *Problem, hc HCConfig) func(curve bool) (*Result, error) {
+	return func(curve bool) (*Result, error) {
+		hc.OracleCurve = curve
+		return HillClimb(p, hc)
+	}
+}
 
 func TestOptimizeBatchedOracleEquivalence(t *testing.T) {
 	for _, cfg := range []struct {
@@ -90,23 +168,18 @@ func TestOptimizeBatchedOracleEquivalence(t *testing.T) {
 		{"half-timed", []bool{true, true, false, false}},
 	} {
 		p := problemFor("fft", 0.01, cfg.timed)
+		if sweepMismatch(t, p) {
+			t.Errorf("%s: an evaluator batch differs from Problem.Evaluate", cfg.name)
+		}
 		for _, seed := range equivalenceSeeds {
 			gc := DefaultGA(seed)
 			gc.Pop, gc.Generations = 10, 6
-			scalar, err := Optimize(p, gc)
+			res, err := Optimize(p, gc)
 			if err != nil {
-				t.Fatalf("%s seed %d scalar: %v", cfg.name, seed, err)
+				t.Fatalf("%s seed %d: %v", cfg.name, seed, err)
 			}
-			for _, w := range oracleBatchWidths {
-				gc.OracleBatch = w
-				batched, err := Optimize(p, gc)
-				if err != nil {
-					t.Fatalf("%s seed %d batch %d: %v", cfg.name, seed, w, err)
-				}
-				if !reflect.DeepEqual(scalar, batched) {
-					t.Errorf("%s seed %d: scalar and batch-%d GA results differ\nscalar: %+v\nbatched: %+v",
-						cfg.name, seed, w, scalar, batched)
-				}
+			if !reflect.DeepEqual(res.Eval, p.Evaluate(res.Timers)) {
+				t.Errorf("%s seed %d: GA Result.Eval differs from Problem.Evaluate", cfg.name, seed)
 			}
 		}
 	}
@@ -114,74 +187,76 @@ func TestOptimizeBatchedOracleEquivalence(t *testing.T) {
 
 func TestHillClimbBatchedOracleEquivalence(t *testing.T) {
 	p := problemFor("water", 0.01, []bool{true, true, true, false})
+	if sweepMismatch(t, p) {
+		t.Error("an evaluator batch differs from Problem.Evaluate")
+	}
 	for _, seed := range equivalenceSeeds {
 		hc := DefaultHC(seed)
 		hc.Restarts, hc.MaxSteps = 3, 20
-		scalar, err := HillClimb(p, hc)
+		res, err := HillClimb(p, hc)
 		if err != nil {
-			t.Fatalf("seed %d scalar: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, w := range oracleBatchWidths {
-			hc.OracleBatch = w
-			batched, err := HillClimb(p, hc)
-			if err != nil {
-				t.Fatalf("seed %d batch %d: %v", seed, w, err)
-			}
-			if !reflect.DeepEqual(scalar, batched) {
-				t.Errorf("seed %d: scalar and batch-%d hill-climb results differ\nscalar: %+v\nbatched: %+v",
-					seed, w, scalar, batched)
-			}
+		if !reflect.DeepEqual(res.Eval, p.Evaluate(res.Timers)) {
+			t.Errorf("seed %d: hill-climb Result.Eval differs from Problem.Evaluate", seed)
 		}
 	}
 }
 
-// TestBatchedOracleWorkersCross runs the full Workers × OracleBatch grid on
-// one configuration: every combination must produce the same Result as the
-// serial scalar reference.
+// TestBatchedOracleWorkersCross runs the batched memo — curve oracle off,
+// and curve oracle on but never built — at Workers {1, 4, 8}: every cell
+// must produce the serial reference Result, whose Eval re-derives from
+// Problem.Evaluate.
 func TestBatchedOracleWorkersCross(t *testing.T) {
+	old := curveBuildBudget
+	curveBuildBudget = math.MaxInt64
+	t.Cleanup(func() { curveBuildBudget = old })
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	gc := DefaultGA(42)
 	gc.Pop, gc.Generations = 10, 6
+	gc.Workers = 1
 	ref, err := Optimize(p, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 4, 8} {
-		for _, ob := range oracleBatchWidths {
-			gc.Workers, gc.OracleBatch = w, ob
+	if !reflect.DeepEqual(ref.Eval, p.Evaluate(ref.Timers)) {
+		t.Fatal("reference Result.Eval differs from Problem.Evaluate")
+	}
+	ResetCurveCache()
+	for _, curve := range []bool{false, true} {
+		for _, w := range []int{1, 4, 8} {
+			gc.OracleCurve, gc.Workers = curve, w
 			got, err := Optimize(p, gc)
 			if err != nil {
-				t.Fatalf("workers %d batch %d: %v", w, ob, err)
+				t.Fatalf("curve %v workers %d: %v", curve, w, err)
 			}
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("workers %d batch %d: Result differs from serial scalar reference", w, ob)
+				t.Errorf("curve %v workers %d: Result differs from the serial reference", curve, w)
 			}
 		}
 	}
 }
 
 // TestBatchedOracleFailsClosed proves the equivalence suite cannot pass
-// vacuously: a seeded fault in the batched oracle (a +1 skew on every
-// memo-served hit count) must make the scalar-vs-batched comparison report a
+// vacuously: a seeded fault in the batched memo (a θ-proportional skew on
+// every memo-served hit count) must make every comparison report a
 // mismatch. If this test fails, the differential tests above are comparing
 // something that cannot detect an oracle divergence.
 func TestBatchedOracleFailsClosed(t *testing.T) {
 	p := problemFor("fft", 0.01, []bool{true, true, true, true})
 	gc := DefaultGA(42)
 	gc.Pop, gc.Generations = 10, 6
-	scalar, err := Optimize(p, gc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	TestHooks.BatchedOracleHitSkew = 1
 	defer func() { TestHooks.BatchedOracleHitSkew = 0 }()
-	gc.OracleBatch = 16
-	skewed, err := Optimize(p, gc)
-	if err != nil {
-		t.Fatal(err)
+	if !sweepMismatch(t, p) {
+		t.Error("seeded batched-memo fault not detected: evaluator batches equal Problem.Evaluate")
 	}
-	if reflect.DeepEqual(scalar, skewed) {
-		t.Fatal("seeded batched-oracle fault not detected: skewed batched Result equals scalar Result")
+	evalDiffers, resultsDiffer := compareOracles(t, p, gaRunner(p, gc))
+	if !evalDiffers {
+		t.Error("seeded batched-memo fault not detected: Result.Eval equals Problem.Evaluate")
+	}
+	if !resultsDiffer {
+		t.Error("seeded batched-memo fault not detected: skewed Result equals the curve Result")
 	}
 }
 

@@ -21,16 +21,8 @@ type HCConfig struct {
 	// anything below 1 selects runtime.NumCPU(). The Result is byte-identical
 	// for every value.
 	Workers int
-	// OracleBatch selects the analysis-oracle batching width, with the same
-	// semantics as GAConfig.OracleBatch: ≥ 2 memoizes the isolation analysis
-	// per (core, θ) and evaluates fresh pairs in SoA walks of up to this
-	// many columns; 0 and 1 keep the scalar oracle. The Result is
-	// byte-identical for every value.
-	OracleBatch int
-	// OracleCurve selects the hit-curve oracle, with the same semantics as
-	// GAConfig.OracleCurve: per-core hit curves answer every (core, θ) query
-	// in O(log k), taking precedence over OracleBatch. The Result is
-	// byte-identical for every oracle.
+	// OracleCurve allows the hit-curve oracle, with the same semantics as
+	// GAConfig.OracleCurve. The Result is byte-identical either way.
 	OracleCurve bool
 	// Progress, when non-nil, receives live pull-sampled progress with the
 	// same semantics as GAConfig.Progress; restarts are reported as
@@ -65,7 +57,7 @@ func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 	if hc.Restarts < 1 || hc.MaxSteps < 1 {
 		return nil, fmt.Errorf("opt: degenerate HC config %+v", hc)
 	}
-	nGenes := p.numGenes()
+	nGenes := len(p.timedCores())
 	res := &Result{}
 	if nGenes == 0 {
 		timers := p.Timers(nil)
@@ -74,16 +66,9 @@ func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 		res.Evaluations = 1
 		return res, nil
 	}
-	oracle := newEvaluator(p, hc.Workers, hc.OracleBatch, hc.OracleCurve, false, hc.Progress)
+	oracle := newEvaluator(p, hc.Workers, hc.OracleCurve, false, hc.Progress)
 	hc.Progress.SetGenerations(int64(hc.Restarts))
-	switch {
-	case oracle.curves != nil:
-		res.ThetaIS = thetaISCurve(p, oracle)
-	case hc.OracleBatch > 1:
-		res.ThetaIS = thetaISBatched(p, hc.Workers, oracle)
-	default:
-		res.ThetaIS = thetaIS(p, hc.Workers)
-	}
+	res.ThetaIS = oracle.thetaIS()
 
 	rng := trace.NewRNG(hc.Seed ^ 0x6863) // "hc"
 	clamp := func(g int, v config.Timer) config.Timer {

@@ -77,7 +77,7 @@ func (p *Problem) msiWeight() float64 {
 	}
 }
 
-// Validate checks the problem dimensions.
+// Validate checks the problem dimensions, latencies and L1 geometry.
 func (p *Problem) Validate() error {
 	n := len(p.Streams)
 	if n == 0 {
@@ -92,7 +92,7 @@ func (p *Problem) Validate() error {
 	if p.Lat.Hit < 1 || p.Lat.Req < 1 || p.Lat.Data < 1 {
 		return fmt.Errorf("opt: invalid latencies %+v", p.Lat)
 	}
-	return nil
+	return p.L1.Validate("L1")
 }
 
 // Timers materializes a full timer vector from a chromosome (one gene per
@@ -111,15 +111,16 @@ func (p *Problem) Timers(genes []config.Timer) []config.Timer {
 	return out
 }
 
-// numGenes returns the chromosome length.
-func (p *Problem) numGenes() int {
-	n := 0
-	for _, t := range p.Timed {
+// timedCores returns the indexes of the timed cores, in core order — gene g
+// of a chromosome drives core timedCores()[g].
+func (p *Problem) timedCores() []int {
+	timed := make([]int, 0, len(p.Timed))
+	for i, t := range p.Timed {
 		if t {
-			n++
+			timed = append(timed, i)
 		}
 	}
-	return n
+	return timed
 }
 
 // Evaluation is the oracle's verdict on one timer vector.
@@ -171,27 +172,26 @@ func (p *Problem) compile() *compiled {
 	return c
 }
 
+// evaluate is the scalar oracle: it runs analysis.IsolationHits per timed
+// core. It serves Problem.Evaluate, the reference every faster source is
+// held to.
 func (c *compiled) evaluate(timers []config.Timer) Evaluation {
-	return c.evaluateSrc(timers, nil, nil)
+	return c.evaluateSrc(append([]config.Timer(nil), timers...), nil, nil)
 }
 
-// evaluateSrc is evaluate with a pluggable isolation-analysis source: when
-// curves is non-nil, timed cores' (MHit, MMiss) splits are answered by the
-// per-core hit-curve index; otherwise, when memo is non-nil, they are read
-// from memo[core][θ]; otherwise analysis.IsolationHits runs per core.
-// Everything else — the WCL hoist, the float summation order, the constraint
-// handling — is the shared code path, so a memoized or curve-served
+// evaluateSrc assembles one Evaluation from a pluggable isolation-analysis
+// source: when curves is non-nil, timed cores' (MHit, MMiss) splits are
+// answered by the per-core hit-curve index; otherwise, when memo is non-nil,
+// they are read from memo[core][θ]; otherwise analysis.IsolationHits runs
+// per core. Everything else — the WCL hoist, the float summation order, the
+// constraint handling — is the shared code path, so a memo- or curve-served
 // evaluation is bit-identical to a scalar one whenever the source serves
 // true IsolationHits results.
+//
+// evaluateSrc takes ownership of timers: the slice is stored in the
+// returned Evaluation without a defensive copy, so callers must never
+// mutate it afterwards.
 func (c *compiled) evaluateSrc(timers []config.Timer, memo []map[config.Timer][2]int64, curves []*analysis.HitCurve) Evaluation {
-	return c.evaluateSrcOwned(append([]config.Timer(nil), timers...), memo, curves)
-}
-
-// evaluateSrcOwned is evaluateSrc taking ownership of timers: the slice is
-// stored in the returned Evaluation without a defensive copy, so callers
-// must never mutate it afterwards. The evaluator's batch path qualifies —
-// every job's vector is freshly materialized and dropped after evaluation.
-func (c *compiled) evaluateSrcOwned(timers []config.Timer, memo []map[config.Timer][2]int64, curves []*analysis.HitCurve) Evaluation {
 	p := c.p
 	n := len(p.Streams)
 	ev := Evaluation{
@@ -270,35 +270,34 @@ func fitness(ev *Evaluation) float64 {
 // timer vector, so a genome that reappears (elites, converged populations,
 // revisited neighbors) is never recomputed.
 //
-// With oracleBatch ≥ 2 the evaluator additionally memoizes the isolation
-// analysis per (core, θ) for the lifetime of the run, and computes fresh
-// pairs through analysis.BatchAnalyzer in SoA walks of up to oracleBatch
-// columns. Distinct genomes routinely share genes — elites mutate one
-// coordinate, hill-climb neighborhoods vary one gene at a time — so the
-// per-core memo turns the oracle's cost from (distinct genomes × cores)
-// stream walks into (distinct (core, θ) pairs ÷ batch width) walks. The
-// genome-level memo-cache, its key, and every counter are untouched:
-// results are bit-identical to the scalar oracle for every batch width.
+// Fresh genomes are answered by exactly one of two exact hit sources, chosen
+// here rather than by the caller:
 //
-// With curve set, the hit-curve oracle replaces the batched one (taking
-// precedence over oracleBatch) once its indexes are installed: one
-// analysis.HitCurve per timed core — served from a process-wide
-// content-addressed cache, so repeated runs over the same streams skip
-// construction entirely — answers every (core, θ) pair with an O(log k)
-// query instead of a stream walk, directly in the evaluation assembly — no
-// per-core memo, no prefill pass. Installation is amortization-gated:
-// eager when the curves are already cached (a fetch, not a build) or when
-// the surrogate needs them, otherwise deferred until the run has brought
-// curveBuildBudget fresh genomes — cold short runs never pay construction
-// and keep serving from the batched or scalar oracle. Every source is
-// exact and the genome cache and all counters behave identically, so
-// Results stay bit-identical wherever the switch lands.
+//   - The batched memo (the default). The isolation analysis is memoized per
+//     (core, θ) for the lifetime of the run, and fresh pairs are computed
+//     through analysis.BatchAnalyzer in SoA walks of up to oracleBatchWidth
+//     columns. Distinct genomes routinely share genes — elites mutate one
+//     coordinate, hill-climb neighborhoods vary one gene at a time — so the
+//     per-core memo turns the oracle's cost from (distinct genomes × cores)
+//     stream walks into (distinct (core, θ) pairs ÷ width) walks.
+//   - Hit curves (with curve set). One analysis.HitCurve per timed core —
+//     served from a process-wide content-addressed cache, so repeated runs
+//     over the same streams skip construction entirely — answers every
+//     (core, θ) pair with an O(log k) query instead of a stream walk,
+//     directly in the evaluation assembly. Installation is amortization-
+//     gated: eager when the curves are already cached (a fetch, not a build)
+//     or when the surrogate needs them, otherwise deferred until the run has
+//     brought curveBuildBudget fresh genomes — cold short runs never pay
+//     construction and keep serving from the batched memo.
+//
+// Both sources are exact and the genome cache and all counters behave
+// identically, so Results equal the scalar reference (Problem.Evaluate)
+// wherever the switch lands.
 type evaluator struct {
-	p           *Problem
-	c           *compiled
-	workers     int
-	oracleBatch int
-	curve       bool
+	p       *Problem
+	c       *compiled
+	workers int
+	curve   bool
 	// evalCache is the genome-level memo (keyed by the raw genome key of the
 	// gene vector). Every probe and store happens on the coordinator
 	// goroutine, so a plain map with explicit counters stands in for
@@ -319,9 +318,8 @@ type evaluator struct {
 	curves []*analysis.HitCurve
 	// coreMemo[i][θ] is core i's memoized IsolationHits split (hits, misses).
 	// Lookup-only maps (never ranged), populated in deterministic submission
-	// order by prefill and the batched saturation sweep. Nil outside batched
-	// mode — scalar mode runs the analysis per genome, curve mode reads the
-	// index directly.
+	// order by prefill and the batched saturation sweep. Nil once curves are
+	// installed: the index answers every query from then on.
 	coreMemo []map[config.Timer][2]int64
 	// computed counts oracle evaluations actually performed (cache misses
 	// deduped within each batch).
@@ -332,24 +330,29 @@ type evaluator struct {
 	progress *obs.RunHandle
 }
 
-func newEvaluator(p *Problem, workers, oracleBatch int, curve, surrogate bool, progress *obs.RunHandle) *evaluator {
+// oracleBatchWidth is the column count of one batched-analysis SoA walk.
+// Results are identical for every width; 16 is the measured sweet spot on
+// the paper-scale fig5a and table2 runs, wide enough to amortize the stream
+// walk and narrow enough to keep a generation's fresh θ spread over several
+// workers.
+const oracleBatchWidth = 16
+
+func newEvaluator(p *Problem, workers int, curve, surrogate bool, progress *obs.RunHandle) *evaluator {
 	e := &evaluator{
-		p:           p,
-		c:           p.compile(),
-		workers:     workers,
-		oracleBatch: oracleBatch,
-		curve:       curve,
-		evalCache:   make(map[string]Evaluation, 256),
-		progress:    progress,
+		p:         p,
+		c:         p.compile(),
+		workers:   workers,
+		curve:     curve,
+		evalCache: make(map[string]Evaluation, 256),
+		progress:  progress,
 	}
-	if e.curve && (surrogate || curveBuildBudget <= 0 || curvesWarm(p)) {
+	if curve && (surrogate || curveBuildBudget <= 0 || curvesWarm(p)) {
 		e.installCurves()
+		return e
 	}
-	if e.oracleBatch > 1 && e.curves == nil {
-		e.coreMemo = make([]map[config.Timer][2]int64, len(p.Streams))
-		for i := range e.coreMemo {
-			e.coreMemo[i] = make(map[config.Timer][2]int64, 256)
-		}
+	e.coreMemo = make([]map[config.Timer][2]int64, len(p.Streams))
+	for i := range e.coreMemo {
+		e.coreMemo[i] = make(map[config.Timer][2]int64, 256)
 	}
 	return e
 }
@@ -365,7 +368,7 @@ func (e *evaluator) engineStats() stats.EngineStats {
 }
 
 // oracleUnit is one batched-analysis job: a contiguous chunk of fresh timers
-// for one core, at most oracleBatch wide.
+// for one core, at most oracleBatchWidth wide.
 type oracleUnit struct {
 	core   int
 	thetas []config.Timer
@@ -373,10 +376,10 @@ type oracleUnit struct {
 
 // prefill runs the isolation analysis for every (core, θ) pair the genomes
 // need that the per-core memo does not yet hold. Fresh pairs are collected
-// in submission order, chunked per core into SoA walks of up to oracleBatch
-// columns, fanned across workers, and merged back serially — so the memo
-// content is a pure function of the genome sequence, identical for every
-// worker count and batch width.
+// in submission order, chunked per core into SoA walks of up to
+// oracleBatchWidth columns, fanned across workers, and merged back serially
+// — so the memo content is a pure function of the genome sequence,
+// identical for every worker count.
 func (e *evaluator) prefill(genomes [][]config.Timer) {
 	n := len(e.p.Streams)
 	fresh := make([][]config.Timer, n)
@@ -401,8 +404,8 @@ func (e *evaluator) prefill(genomes [][]config.Timer) {
 	}
 	var units []oracleUnit
 	for i := 0; i < n; i++ {
-		for off := 0; off < len(fresh[i]); off += e.oracleBatch {
-			end := off + e.oracleBatch
+		for off := 0; off < len(fresh[i]); off += oracleBatchWidth {
+			end := off + oracleBatchWidth
 			if end > len(fresh[i]) {
 				end = len(fresh[i])
 			}
@@ -495,30 +498,16 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	if e.curve && e.curves == nil && e.cacheMisses >= curveBuildBudget {
 		e.installCurves()
 	}
-	var results []Evaluation
-	switch {
-	case e.curves != nil:
-		// Curve oracle: every (core, θ) query is an O(log k) index lookup, so
-		// the assembly runs serially with no prefill pass. Same per-core order
-		// and arithmetic as the scalar path — results are bit-identical.
-		results = make([]Evaluation, len(jobs))
-		for j := range jobs {
-			results[j] = e.c.evaluateSrcOwned(jobs[j], nil, e.curves)
-		}
-	case e.oracleBatch > 1:
-		// Batched oracle: resolve all fresh (core, θ) pairs first, then
-		// assemble the evaluations serially from the memo. The assembly is
-		// pure integer/float arithmetic in the same per-core order as the
-		// scalar path, so the results are bit-identical.
+	// Without curves, resolve every fresh (core, θ) pair into the per-core
+	// memo first; either way the assembly then runs serially — pure
+	// integer/float arithmetic in the scalar path's per-core order, so the
+	// results are bit-identical to Problem.Evaluate.
+	if e.curves == nil {
 		e.prefill(jobs)
-		results = make([]Evaluation, len(jobs))
-		for j := range jobs {
-			results[j] = e.c.evaluateSrcOwned(jobs[j], e.coreMemo, nil)
-		}
-	default:
-		results = parallel.Map(e.workers, len(jobs), func(j int) Evaluation {
-			return e.c.evaluateSrcOwned(jobs[j], nil, nil)
-		})
+	}
+	results := make([]Evaluation, len(jobs))
+	for j := range jobs {
+		results[j] = e.c.evaluateSrc(jobs[j], e.coreMemo, e.curves)
 	}
 	for j := range jobKeys {
 		e.evalCache[jobKeys[j]] = results[j]
@@ -534,48 +523,36 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 	return out
 }
 
-// thetaIS computes the per-gene saturation timers (§V) — one independent
-// analysis sweep per timed core, fanned out across workers.
-func thetaIS(p *Problem, workers int) []config.Timer {
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
+// thetaIS computes the per-gene saturation timers θ_is (§V) on the
+// evaluator's hit source, bit-identical to analysis.SaturationTimer per
+// core. Installed curves answer the shared saturation sweep in O(log k) per
+// probe. Otherwise each timed core's doubling grid runs in one SoA stream
+// walk, fanned across workers, and every (θ → hits, misses) sample the sweep
+// produced seeds the per-core memo — so the boundary individuals of the
+// initial population (all-ones, all-θ_is) evaluate without re-running the
+// analysis.
+func (e *evaluator) thetaIS() []config.Timer {
+	timed := e.p.timedCores()
+	out := make([]config.Timer, len(timed))
+	if e.curves != nil {
+		for g, i := range timed {
+			out[g], _ = e.curves[i].SaturationTimer()
 		}
-	}
-	return parallel.Map(workers, len(timed), func(g int) config.Timer {
-		th, _ := analysis.SaturationTimer(p.Streams[timed[g]], p.L1, p.Lat)
-		return th
-	})
-}
-
-// thetaISBatched is thetaIS on the batched oracle: each timed core's
-// saturation sweep evaluates its doubling grid in one SoA stream walk, and
-// every (θ → hits, misses) sample the sweep produced seeds the evaluator's
-// per-core memo — so the boundary individuals of the initial population
-// (all-ones, all-θ_is) evaluate without re-running the analysis. The sweep
-// is bit-identical to analysis.SaturationTimer per core.
-func thetaISBatched(p *Problem, workers int, e *evaluator) []config.Timer {
-	timed := make([]int, 0, len(p.Timed))
-	for i, t := range p.Timed {
-		if t {
-			timed = append(timed, i)
-		}
+		return out
 	}
 	type satResult struct {
 		theta   config.Timer
 		samples []analysis.TimerSample
 	}
-	results := parallel.Map(workers, len(timed), func(g int) satResult {
-		ba := analysis.NewBatchAnalyzer(p.L1)
-		th, _, samples := ba.SaturationTimer(p.Streams[timed[g]], p.Lat)
+	results := parallel.Map(e.workers, len(timed), func(g int) satResult {
+		ba := analysis.NewBatchAnalyzer(e.p.L1)
+		th, _, samples := ba.SaturationTimer(e.p.Streams[timed[g]], e.p.Lat)
 		return satResult{theta: th, samples: samples}
 	})
-	out := make([]config.Timer, len(timed))
-	for g := range results {
+	for g, i := range timed {
 		out[g] = results[g].theta
 		for _, smp := range results[g].samples {
-			e.coreMemo[timed[g]][smp.Theta] = [2]int64{smp.Hits, smp.Misses}
+			e.coreMemo[i][smp.Theta] = [2]int64{smp.Hits, smp.Misses}
 		}
 	}
 	return out
@@ -618,19 +595,13 @@ type GAConfig struct {
 	// anything below 1 selects runtime.NumCPU(). The Result is byte-identical
 	// for every value.
 	Workers int
-	// OracleBatch selects the analysis-oracle batching width: with a value
-	// ≥ 2, the isolation analysis is memoized per (core, θ) across the run
-	// and fresh pairs are evaluated in SoA walks of up to OracleBatch
-	// columns (analysis.BatchAnalyzer). 0 and 1 select the scalar oracle —
-	// one full analysis pass per core per distinct genome. The Result is
-	// byte-identical for every value; only the oracle's cost changes.
-	OracleBatch int
-	// OracleCurve selects the hit-curve oracle (tier 1): one
-	// analysis.HitCurve per timed core answers every (core, θ) query with a
-	// binary search instead of a stream walk, and θ_is is read off the curve
-	// through the shared saturation sweep. Takes precedence over OracleBatch.
-	// The Result is byte-identical to the scalar and batched oracles; only
-	// the cost changes.
+	// OracleCurve allows the hit-curve oracle (tier 1): one analysis.HitCurve
+	// per timed core answers every (core, θ) query with a binary search
+	// instead of a stream walk, and θ_is is read off the curve through the
+	// shared saturation sweep. The evaluator installs the curves when they
+	// pay off (see curveBuildBudget) and serves from the batched per-core
+	// memo until then. The Result is byte-identical either way; only the
+	// cost changes.
 	OracleCurve bool
 	// Surrogate enables the tier-2 surrogate prefilter: each generation's
 	// children are scored by a cheap curve-bound fitness first, and only
@@ -722,7 +693,7 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 	if gc.Surrogate && !gc.OracleCurve {
 		return nil, fmt.Errorf("opt: surrogate prefilter requires the curve oracle")
 	}
-	nGenes := p.numGenes()
+	nGenes := len(p.timedCores())
 	res := &Result{}
 	if nGenes == 0 {
 		timers := p.Timers(nil)
@@ -734,22 +705,12 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 		return res, nil
 	}
 
-	oracle := newEvaluator(p, gc.Workers, gc.OracleBatch, gc.OracleCurve, gc.Surrogate, gc.Progress)
+	oracle := newEvaluator(p, gc.Workers, gc.OracleCurve, gc.Surrogate, gc.Progress)
 	gc.Progress.SetGenerations(int64(gc.Generations))
 
-	// Per-gene upper bounds: θ_is from the saturation sweep (§V). An
-	// eagerly-installed curve oracle reads the sweep off the per-core
-	// index; a deferred one sweeps like its fallback (bit-identical) and
-	// leaves construction to the amortization gate in batch. The batched
-	// sweep seeds the oracle's per-core memo from its samples.
-	switch {
-	case oracle.curves != nil:
-		res.ThetaIS = thetaISCurve(p, oracle)
-	case gc.OracleBatch > 1:
-		res.ThetaIS = thetaISBatched(p, gc.Workers, oracle)
-	default:
-		res.ThetaIS = thetaIS(p, gc.Workers)
-	}
+	// Per-gene upper bounds: θ_is from the saturation sweep (§V), on
+	// whichever hit source the evaluator installed.
+	res.ThetaIS = oracle.thetaIS()
 
 	rng := trace.NewRNG(gc.Seed ^ 0x6f7074) // "opt"
 	randGene := func(g int) config.Timer {

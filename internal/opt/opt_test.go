@@ -50,6 +50,33 @@ func TestProblemValidate(t *testing.T) {
 	}
 }
 
+// TestInvalidL1GeometryRejected pins that both engines reject an L1 the
+// cache model cannot build with an error instead of panicking mid-search.
+func TestInvalidL1GeometryRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		geom config.CacheGeometry
+	}{
+		{"zero", config.CacheGeometry{}},
+		{"line-not-pow2", config.CacheGeometry{SizeBytes: 1000, LineBytes: 48, Ways: 3}},
+		{"zero-line", config.CacheGeometry{SizeBytes: 1024, LineBytes: 0, Ways: 1}},
+		{"zero-ways", config.CacheGeometry{SizeBytes: 1024, LineBytes: 64, Ways: 0}},
+		{"size-not-divisible", config.CacheGeometry{SizeBytes: 1000, LineBytes: 64, Ways: 1}},
+		{"sets-not-pow2", config.CacheGeometry{SizeBytes: 3 * 64, LineBytes: 64, Ways: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := problemFor("fft", 0.005, []bool{true, true, false, false})
+			p.L1 = tc.geom
+			if _, err := Optimize(p, DefaultGA(1)); err == nil {
+				t.Error("Optimize accepted the geometry")
+			}
+			if _, err := HillClimb(p, DefaultHC(1)); err == nil {
+				t.Error("HillClimb accepted the geometry")
+			}
+		})
+	}
+}
+
 func TestTimersExpansion(t *testing.T) {
 	p := problemFor("fft", 0.005, []bool{true, false, true, false})
 	got := p.Timers([]config.Timer{7, 9})

@@ -23,7 +23,7 @@ import (
 const DefaultSurrogateMargin = 0.25
 
 // surrogateFitness computes the tier-2 fitness bound of a gene vector. Only
-// valid in curve mode (e.curves installed by thetaISCurve). The full timer
+// valid in curve mode (e.curves installed by installCurves). The full timer
 // vector is expanded into a scratch buffer reused across children, so the
 // prefilter allocates nothing per child.
 func (e *evaluator) surrogateFitness(genes []config.Timer) float64 {
