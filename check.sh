@@ -30,8 +30,14 @@ go test -race -shuffle=on ./internal/...
 echo "==> go test -race (parallel evaluation engine)"
 go test -race -shuffle=on ./internal/parallel ./internal/opt ./internal/experiments
 
-echo "==> cohort-bench fig5a -j 8 smoke"
-go run ./cmd/cohort-bench -run fig5a -j 8 -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 >/dev/null
+echo "==> cohort-bench -run all smoke (every registry entry, -j 1 vs -j 8)"
+smokedir="$(mktemp -d)"
+go build -o "$smokedir/cohort-bench" ./cmd/cohort-bench
+for j in 1 8; do
+  "$smokedir/cohort-bench" -run all -j "$j" -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 > "$smokedir/all-j$j.txt"
+done
+diff "$smokedir/all-j1.txt" "$smokedir/all-j8.txt"
+rm -rf "$smokedir"
 
 echo "==> batched-vs-scalar and curve-vs-scalar fuzz seeds (committed corpus)"
 go test -run 'FuzzBatchVsScalar|FuzzCurveVsScalar' ./internal/analysis

@@ -87,6 +87,43 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidSizing pins that sizing no experiment can run is an
+// error, not a silently floored one-access-per-core workload or an ignored
+// cap.
+func TestRunRejectsInvalidSizing(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"}, {"-cap", "-5"},
+	} {
+		var out bytes.Buffer
+		if err := run(quickArgs(append([]string{"-run", "fig5a"}, bad...)...), &out, testClock); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed tables before failing:\n%s", bad, out.String())
+		}
+	}
+}
+
+// TestRunAllFollowsRegistry pins that -run all runs every registry entry
+// once, in registry order: its output is the concatenation of the entries'
+// individual outputs.
+func TestRunAllFollowsRegistry(t *testing.T) {
+	experiments.ResetMemo()
+	var all bytes.Buffer
+	if err := run(quickArgs("-run", "all", "-j", "2"), &all, testClock); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, f := range experiments.All() {
+		if err := run(quickArgs("-run", f.Name, "-j", "2"), &want, testClock); err != nil {
+			t.Fatalf("-run %s: %v", f.Name, err)
+		}
+	}
+	if !bytes.Equal(all.Bytes(), want.Bytes()) {
+		t.Fatalf("-run all differs from the registry entries run in order:\n--- all ---\n%s\n--- entries ---\n%s", all.Bytes(), want.Bytes())
+	}
+}
+
 // TestManifestAndTraceWritten drives the -out-dir path end to end: the run
 // must leave a schema-valid manifest and a Chrome trace in the directory,
 // and the manifest's metrics snapshot must be byte-identical between -j 1

@@ -134,11 +134,12 @@ func main() {
 	rh.Finish()
 
 	if man != nil {
-		// The config key covers every parameter that determines the Result —
-		// and not Workers or OracleCurve, which by contract do not. The tier-2 surrogate does and joins the key when enabled (and
-		// only then, so surrogate-off keys stay byte-stable).
+		// The config key covers every parameter that determines the Result;
+		// GAConfig.Key leaves out the result-neutral ones (Workers,
+		// OracleCurve).
+		fp := experiments.Fingerprint(tr)
 		k := parallel.NewKey("cohort-opt/config")
-		k.Str(experiments.Fingerprint(tr)).Int(*cores)
+		k.Str(fp).Int(*cores)
 		for _, b := range timedMask {
 			k.Bool(b)
 		}
@@ -146,13 +147,8 @@ func main() {
 		for _, g := range gammas {
 			k.Int64(g)
 		}
-		k.Int(gc.Pop).Int(gc.Generations).Int(gc.Elite).Int(gc.TournamentK)
-		k.Float64(gc.CrossoverProb).Float64(gc.MutationProb).Uint64(gc.Seed)
-		if gc.Surrogate {
-			k.Bool(true).Float64(gc.SurrogateMargin)
-		}
-		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
-		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: experiments.Fingerprint(tr)}}
+		man.ConfigKey = hex.EncodeToString([]byte(gc.Key(k).Sum()))
+		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: fp}}
 		man.Seed = int64(*seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
 		man.Curve = cu.Curve

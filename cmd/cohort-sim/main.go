@@ -243,9 +243,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		k := parallel.NewKey("cohort-sim/config").Bytes(cfgJSON).Str(experiments.Fingerprint(tr)).Str(*switches)
+		fp := experiments.Fingerprint(tr)
+		k := parallel.NewKey("cohort-sim/config").Bytes(cfgJSON).Str(fp).Str(*switches)
 		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
-		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: experiments.Fingerprint(tr)}}
+		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: fp}}
 		man.Seed = int64(*seed)
 		man.Workers = 1
 		man.Metrics = reg.Snapshot()

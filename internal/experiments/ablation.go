@@ -5,7 +5,6 @@ import (
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
 )
 
@@ -28,49 +27,42 @@ type ArbiterAblation struct {
 
 // AblationArbiter runs the sweep with a fixed moderate timer vector.
 func AblationArbiter(o Options) (*ArbiterAblation, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	timers := make([]config.Timer, o.NCores)
-	for i := range timers {
-		timers[i] = 50
-	}
-	res := &ArbiterAblation{Timers: timers}
 	arbiters := []config.Arbiter{config.ArbiterRROF, config.ArbiterRR, config.ArbiterFCFS, config.ArbiterTDM}
-	// One cell per benchmark × arbiter, flattened profile-major so the
-	// reduced order matches the serial loop's.
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(arbiters), func(ci int) (ArbiterAblationRow, error) {
-		p, arb := profiles[ci/len(arbiters)], arbiters[ci%len(arbiters)]
-		tr := o.generate(p)
-		cfg, err := config.CoHoRT(o.NCores, 1, timers)
+	rows, err := sweep(&o, nil, arbiters, func(w *workload, arb config.Arbiter) (ArbiterAblationRow, error) {
+		cfg, err := config.CoHoRT(o.NCores, 1, uniform(o.NCores, 50))
 		if err != nil {
 			return ArbiterAblationRow{}, err
 		}
 		cfg.Arbiter = arb
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return ArbiterAblationRow{}, fmt.Errorf("arbiter ablation %s/%s: %w", p.Name, arb, err)
+			return ArbiterAblationRow{}, fmt.Errorf("arbiter ablation %s/%s: %w", w.tr.Name, arb, err)
 		}
-		var maxMiss int64
-		for i := range run.Cores {
-			if run.Cores[i].MaxMissLatency > maxMiss {
-				maxMiss = run.Cores[i].MaxMissLatency
-			}
-		}
-		return ArbiterAblationRow{
-			Benchmark: p.Name,
-			Arbiter:   arb,
-			Cycles:    run.Cycles,
-			MaxMiss:   maxMiss,
-			BusUtil:   run.BusUtilization(),
-		}, nil
+		return ArbiterAblationRow{Benchmark: w.tr.Name, Arbiter: arb, Cycles: run.Cycles,
+			MaxMiss: maxMissLatency(run), BusUtil: run.BusUtilization()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &ArbiterAblation{Timers: uniform(o.NCores, 50), Rows: rows}, nil
+}
+
+// uniform returns an n-core timer vector with every core at θ.
+func uniform(n int, theta config.Timer) []config.Timer {
+	timers := make([]config.Timer, n)
+	for i := range timers {
+		timers[i] = theta
+	}
+	return timers
+}
+
+// maxMissLatency is the worst per-request latency observed on any core.
+func maxMissLatency(run *stats.Run) int64 {
+	var m int64
+	for i := range run.Cores {
+		m = max(m, run.Cores[i].MaxMissLatency)
+	}
+	return m
 }
 
 // Render lays out the arbiter sweep.
@@ -101,36 +93,22 @@ type TransferAblation struct {
 
 // AblationTransfer runs the sweep with all-MSI cores under RROF.
 func AblationTransfer(o Options) (*TransferAblation, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &TransferAblation{}
 	transfers := []config.Transfer{config.TransferDirect, config.TransferViaMemory}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(transfers), func(ci int) (TransferAblationRow, error) {
-		p, tp := profiles[ci/len(transfers)], transfers[ci%len(transfers)]
-		tr := o.generate(p)
+	rows, err := sweep(&o, nil, transfers, func(w *workload, tp config.Transfer) (TransferAblationRow, error) {
 		cfg := config.PaperDefaults(o.NCores, 1)
 		cfg.Transfer = tp
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return TransferAblationRow{}, fmt.Errorf("transfer ablation %s/%s: %w", p.Name, tp, err)
-		}
-		var maxMiss int64
-		for i := range run.Cores {
-			if run.Cores[i].MaxMissLatency > maxMiss {
-				maxMiss = run.Cores[i].MaxMissLatency
-			}
+			return TransferAblationRow{}, fmt.Errorf("transfer ablation %s/%s: %w", w.tr.Name, tp, err)
 		}
 		return TransferAblationRow{
-			Benchmark: p.Name, Transfer: tp, Cycles: run.Cycles, MaxMiss: maxMiss,
+			Benchmark: w.tr.Name, Transfer: tp, Cycles: run.Cycles, MaxMiss: maxMissLatency(run),
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &TransferAblation{Rows: rows}, nil
 }
 
 // Render lays out the transfer sweep.
@@ -171,42 +149,30 @@ func AblationTimer(o Options, thetas []config.Timer) (*TimerSweep, error) {
 	if len(thetas) == 0 {
 		thetas = []config.Timer{1, 10, 50, 100, 500, 1000, 5000}
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &TimerSweep{}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(thetas), func(ci int) (TimerSweepRow, error) {
-		p, th := profiles[ci/len(thetas)], thetas[ci%len(thetas)]
-		tr := o.generate(p)
-		timers := make([]config.Timer, o.NCores)
-		for i := range timers {
-			timers[i] = th
-		}
-		cfg, err := config.CoHoRT(o.NCores, 1, timers)
+	rows, err := sweep(&o, nil, thetas, func(w *workload, th config.Timer) (TimerSweepRow, error) {
+		cfg, err := config.CoHoRT(o.NCores, 1, uniform(o.NCores, th))
 		if err != nil {
 			return TimerSweepRow{}, err
 		}
-		bounds, err := analysis.Bounds(cfg, tr)
+		bounds, err := analysis.Bounds(cfg, w.tr)
 		if err != nil {
 			return TimerSweepRow{}, err
 		}
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return TimerSweepRow{}, fmt.Errorf("timer sweep %s/θ=%d: %w", p.Name, th, err)
+			return TimerSweepRow{}, fmt.Errorf("timer sweep %s/θ=%d: %w", w.tr.Name, th, err)
 		}
-		row := TimerSweepRow{Benchmark: p.Name, Theta: th, Cycles: run.Cycles, WCL: bounds[0].WCL}
+		row := TimerSweepRow{Benchmark: w.tr.Name, Theta: th, Cycles: run.Cycles, WCL: bounds[0].WCL}
 		for i := range run.Cores {
 			row.Hits += run.Cores[i].Hits
-			row.AvgBound += float64(bounds[i].WCMLBound) / float64(tr.Lambda(i))
+			row.AvgBound += float64(bounds[i].WCMLBound) / float64(w.tr.Lambda(i))
 		}
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &TimerSweep{Rows: rows}, nil
 }
 
 // Render lays out the timer sweep.
@@ -240,22 +206,15 @@ type SnoopAblation struct {
 
 // AblationSnoop runs the MSI-vs-MESI sweep with all cores in snooping mode.
 func AblationSnoop(o Options) (*SnoopAblation, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &SnoopAblation{}
 	snoops := []config.Snoop{config.SnoopMSI, config.SnoopMESI}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(snoops), func(ci int) (SnoopAblationRow, error) {
-		p, sp := profiles[ci/len(snoops)], snoops[ci%len(snoops)]
-		tr := o.generate(p)
+	rows, err := sweep(&o, nil, snoops, func(w *workload, sp config.Snoop) (SnoopAblationRow, error) {
 		cfg := config.PaperDefaults(o.NCores, 1)
 		cfg.Snoop = sp
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return SnoopAblationRow{}, fmt.Errorf("snoop ablation %s/%s: %w", p.Name, sp, err)
+			return SnoopAblationRow{}, fmt.Errorf("snoop ablation %s/%s: %w", w.tr.Name, sp, err)
 		}
-		row := SnoopAblationRow{Benchmark: p.Name, Snoop: sp, Cycles: run.Cycles}
+		row := SnoopAblationRow{Benchmark: w.tr.Name, Snoop: sp, Cycles: run.Cycles}
 		for i := range run.Cores {
 			row.Upgrades += run.Cores[i].Upgrades
 			row.Hits += run.Cores[i].Hits
@@ -265,8 +224,7 @@ func AblationSnoop(o Options) (*SnoopAblation, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &SnoopAblation{Rows: rows}, nil
 }
 
 // Render lays out the snoop-protocol sweep.
@@ -305,35 +263,24 @@ func AblationL1Ways(o Options, theta config.Timer, ways []int) (*L1WaysAblation,
 	if len(ways) == 0 {
 		ways = []int{1, 2, 4}
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &L1WaysAblation{Theta: theta}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(ways), func(ci int) (L1WaysRow, error) {
-		p, w := profiles[ci/len(ways)], ways[ci%len(ways)]
-		tr := o.generate(p)
-		timers := make([]config.Timer, o.NCores)
-		for i := range timers {
-			timers[i] = theta
-		}
-		cfg, err := config.CoHoRT(o.NCores, 1, timers)
+	rows, err := sweep(&o, nil, ways, func(w *workload, ways int) (L1WaysRow, error) {
+		cfg, err := config.CoHoRT(o.NCores, 1, uniform(o.NCores, theta))
 		if err != nil {
 			return L1WaysRow{}, err
 		}
-		cfg.L1.Ways = w
+		cfg.L1.Ways = ways
 		if err := cfg.Validate(); err != nil {
 			return L1WaysRow{}, fmt.Errorf("l1 ways ablation: %w", err)
 		}
-		bounds, err := analysis.Bounds(cfg, tr)
+		bounds, err := analysis.Bounds(cfg, w.tr)
 		if err != nil {
 			return L1WaysRow{}, err
 		}
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return L1WaysRow{}, fmt.Errorf("l1 ways ablation %s/%d: %w", p.Name, w, err)
+			return L1WaysRow{}, fmt.Errorf("l1 ways ablation %s/%d: %w", w.tr.Name, ways, err)
 		}
-		row := L1WaysRow{Benchmark: p.Name, Ways: w, Cycles: run.Cycles}
+		row := L1WaysRow{Benchmark: w.tr.Name, Ways: ways, Cycles: run.Cycles}
 		for i := range run.Cores {
 			row.GuaranteedHits += bounds[i].MHit
 			row.MeasuredHits += run.Cores[i].Hits
@@ -343,8 +290,7 @@ func AblationL1Ways(o Options, theta config.Timer, ways []int) (*L1WaysAblation,
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &L1WaysAblation{Theta: theta, Rows: rows}, nil
 }
 
 // Render lays out the associativity sweep.
@@ -375,35 +321,22 @@ type NonBlockingAblation struct {
 
 // AblationNonBlocking runs the sweep with a uniform timer.
 func AblationNonBlocking(o Options) (*NonBlockingAblation, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &NonBlockingAblation{}
-	modes := []bool{false, true}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles)*len(modes), func(ci int) (NonBlockingRow, error) {
-		p, blocking := profiles[ci/len(modes)], modes[ci%len(modes)]
-		tr := o.generate(p)
-		timers := make([]config.Timer, o.NCores)
-		for i := range timers {
-			timers[i] = 100
-		}
-		cfg, err := config.CoHoRT(o.NCores, 1, timers)
+	rows, err := sweep(&o, nil, []bool{false, true}, func(w *workload, blocking bool) (NonBlockingRow, error) {
+		cfg, err := config.CoHoRT(o.NCores, 1, uniform(o.NCores, 100))
 		if err != nil {
 			return NonBlockingRow{}, err
 		}
 		cfg.BlockingCaches = blocking
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, w)
 		if err != nil {
-			return NonBlockingRow{}, fmt.Errorf("nonblocking ablation %s/%v: %w", p.Name, blocking, err)
+			return NonBlockingRow{}, fmt.Errorf("nonblocking ablation %s/%v: %w", w.tr.Name, blocking, err)
 		}
-		return NonBlockingRow{Benchmark: p.Name, Blocking: blocking, Cycles: run.Cycles}, nil
+		return NonBlockingRow{Benchmark: w.tr.Name, Blocking: blocking, Cycles: run.Cycles}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &NonBlockingAblation{Rows: rows}, nil
 }
 
 // Render lays out the blocking-mode sweep.

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"cohort/internal/config"
 	"cohort/internal/obs"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
-	"cohort/internal/trace"
 )
 
 // AttributionRow is one (benchmark, system, core) cell of the WCML latency
@@ -44,9 +43,6 @@ type AttributionResult struct {
 	TimerStallShare map[string]float64
 }
 
-// sysNames fixes the system order of the attribution rows and shares.
-var sysNames = []string{"CoHoRT", "PCC", "PENDULUM"}
-
 // Attribution decomposes every core's measured memory latency under the
 // named scenario for the three compared systems. It reuses the memoized
 // optimizeTimers/runSystem primitives — after a Fig. 5 run of the same
@@ -58,28 +54,16 @@ func Attribution(o Options, scenarioName string) (*AttributionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &AttributionResult{Scenario: sc}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles), func(pi int) ([]AttributionRow, error) {
-		p := profiles[pi]
-		tr := o.generate(p)
-		ga, err := optimizeTimers(&o, tr, sc.Critical)
+	rows, err := perProfile(&o, func(w *workload) ([]AttributionRow, error) {
+		_, systems, err := compared(&o, w, sc)
 		if err != nil {
-			return nil, fmt.Errorf("attribution %s: %w", p.Name, err)
+			return nil, fmt.Errorf("attribution %w", err)
 		}
-		cohortCfg, err := config.CoHoRT(o.NCores, 1, ga.Timers)
-		if err != nil {
-			return nil, err
-		}
-		configs := []*config.System{cohortCfg, config.PCC(o.NCores), config.PENDULUM(sc.Critical)}
 		var out []AttributionRow
-		for si, cfg := range configs {
-			rs, err := attributeSystem(cfg, sysNames[si], p.Name, sc.Critical, tr)
+		for si, cfg := range systems {
+			rs, err := attributeSystem(cfg, sysNames[si], sc.Critical, w)
 			if err != nil {
-				return nil, fmt.Errorf("attribution %s %s: %w", p.Name, sysNames[si], err)
+				return nil, fmt.Errorf("attribution %s %s: %w", w.tr.Name, sysNames[si], err)
 			}
 			out = append(out, rs...)
 		}
@@ -88,9 +72,7 @@ func Attribution(o Options, scenarioName string) (*AttributionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rs := range rows {
-		res.Rows = append(res.Rows, rs...)
-	}
+	res := &AttributionResult{Scenario: sc, Rows: slices.Concat(rows...)}
 
 	// Critical-core timer-stall share per system: stalls ÷ total miss
 	// latency (total minus hit cycles).
@@ -109,7 +91,7 @@ func Attribution(o Options, scenarioName string) (*AttributionResult, error) {
 		}
 	}
 
-	o.observeFigure("attribution/"+sc.Name, len(profiles), func(reg *obs.Registry, lbl obs.Label) {
+	o.observeFigure("attribution/"+sc.Name, len(rows), func(reg *obs.Registry, lbl obs.Label) {
 		for _, sys := range sysNames {
 			reg.FloatGauge("experiments_timer_stall_share",
 				lbl, obs.L("system", sys)).Set(res.TimerStallShare[sys])
@@ -122,8 +104,8 @@ func Attribution(o Options, scenarioName string) (*AttributionResult, error) {
 // attribution out as rows. The row identity — components plus hit cycles
 // equal total latency — is checked here, so a decomposition bug surfaces as
 // a hard error, never as a silently wrong table.
-func attributeSystem(cfg *config.System, system, benchmark string, critical []bool, tr *trace.Trace) ([]AttributionRow, error) {
-	run, err := runSystem(cfg, tr)
+func attributeSystem(cfg *config.System, system string, critical []bool, w *workload) ([]AttributionRow, error) {
+	run, err := runSystem(cfg, w)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +113,7 @@ func attributeSystem(cfg *config.System, system, benchmark string, critical []bo
 	for i := range run.Cores {
 		c := &run.Cores[i]
 		r := AttributionRow{
-			Benchmark:   benchmark,
+			Benchmark:   w.tr.Name,
 			System:      system,
 			Core:        i,
 			Critical:    critical[i],

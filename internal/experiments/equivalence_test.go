@@ -7,116 +7,24 @@ import (
 	"cohort/internal/obs"
 )
 
-// Each runner must render byte-identical output under the forced-serial path
-// (Jobs=1) and an oversubscribed worker pool (Jobs=8). The memo is reset
-// between runs so both compute from a cold cache; CI runs this package under
-// -race so the worker interleavings themselves are exercised.
+// Each registry entry must render byte-identical output under the
+// forced-serial path (Jobs=1) and an oversubscribed worker pool (Jobs=8).
+// The memo is reset between runs so both compute from a cold cache; CI runs
+// this package under -race so the worker interleavings themselves are
+// exercised.
 
-// renderAll drives one runner configuration to its user-visible string form.
-type runnerCase struct {
-	name string
-	run  func(o Options) (string, error)
-}
-
-func runnerCases() []runnerCase {
-	return []runnerCase{
-		{"fig5", func(o Options) (string, error) {
-			r, err := Fig5(o, "all-cr")
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String() + "\n" + r.Summary(), nil
-		}},
-		{"fig6", func(o Options) (string, error) {
-			r, err := Fig6(o, "2cr-2ncr")
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String() + "\n" + r.Summary(), nil
-		}},
-		{"fig7", func(o Options) (string, error) {
-			r, err := Fig7(o, "fft", 1.5, 1.8)
-			if err != nil {
-				return "", err
-			}
-			var sb strings.Builder
-			for _, t := range r.Render() {
-				sb.WriteString(t.String())
-			}
-			sb.WriteString(r.Summary())
-			return sb.String(), nil
-		}},
-		{"table2", func(o Options) (string, error) {
-			r, err := Table2(o, "fft")
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"nonperfect", func(o Options) (string, error) {
-			r, err := NonPerfect(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String() + "\n" + r.Summary(), nil
-		}},
-		{"ablation-arbiter", func(o Options) (string, error) {
-			r, err := AblationArbiter(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-transfer", func(o Options) (string, error) {
-			r, err := AblationTransfer(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-timer", func(o Options) (string, error) {
-			r, err := AblationTimer(o, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-snoop", func(o Options) (string, error) {
-			r, err := AblationSnoop(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-l1ways", func(o Options) (string, error) {
-			r, err := AblationL1Ways(o, 100, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-nonblocking", func(o Options) (string, error) {
-			r, err := AblationNonBlocking(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"ablation-optimizer", func(o Options) (string, error) {
-			r, err := AblationOptimizer(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
-		{"scalability", func(o Options) (string, error) {
-			r, err := ExtensionScalability(o, "fft", 50, []int{2, 4})
-			if err != nil {
-				return "", err
-			}
-			return r.Render().String(), nil
-		}},
+// renderFigure drives one registry entry to its user-visible string form.
+func renderFigure(f Figure, o Options) (string, error) {
+	out, err := f.Run(o, "fft")
+	if err != nil {
+		return "", err
 	}
+	var sb strings.Builder
+	for _, t := range out.Tables {
+		sb.WriteString(t.String())
+	}
+	sb.WriteString(out.Summary)
+	return sb.String(), nil
 }
 
 func equivalenceOptions(seed uint64) Options {
@@ -126,26 +34,25 @@ func equivalenceOptions(seed uint64) Options {
 	return o
 }
 
-// TestRunnersSerialParallelEquivalence asserts every experiment runner
+// TestRunnersSerialParallelEquivalence asserts every registry entry
 // renders byte-identically at -j 1 and -j 8, table-driven over seeds.
 func TestRunnersSerialParallelEquivalence(t *testing.T) {
 	seeds := []uint64{1, 42, 7777}
-	for _, rc := range runnerCases() {
-		rc := rc
-		t.Run(rc.name, func(t *testing.T) {
+	for _, f := range All() {
+		t.Run(f.Name, func(t *testing.T) {
 			for _, seed := range seeds {
 				o := equivalenceOptions(seed)
 
 				o.Jobs, o.GA.Workers = 1, 1
 				ResetMemo()
-				serial, err := rc.run(o)
+				serial, err := renderFigure(f, o)
 				if err != nil {
 					t.Fatalf("seed %d -j 1: %v", seed, err)
 				}
 
 				o.Jobs, o.GA.Workers = 8, 8
 				ResetMemo()
-				par, err := rc.run(o)
+				par, err := renderFigure(f, o)
 				if err != nil {
 					t.Fatalf("seed %d -j 8: %v", seed, err)
 				}
@@ -160,7 +67,7 @@ func TestRunnersSerialParallelEquivalence(t *testing.T) {
 
 // TestMetricsSerialParallelEquivalence asserts the observability layer obeys
 // the same contract as the rendered output: with a fresh Registry and Recorder
-// attached, every runner must produce byte-identical metrics snapshots and
+// attached, every registry entry must produce byte-identical metrics snapshots and
 // Chrome trace exports at -j 1 and -j 8. Runners publish post-hoc (after the
 // parallel fan-out is reduced), so worker scheduling must never leak into
 // either artifact.
@@ -170,11 +77,11 @@ func TestMetricsSerialParallelEquivalence(t *testing.T) {
 		metrics string
 		trace   string
 	}
-	runObserved := func(rc runnerCase, o Options) (observed, error) {
+	runObserved := func(f Figure, o Options) (observed, error) {
 		reg := obs.NewRegistry()
 		rec := obs.NewRecorder()
 		o.Metrics, o.Recorder = reg, rec
-		out, err := rc.run(o)
+		out, err := renderFigure(f, o)
 		if err != nil {
 			return observed{}, err
 		}
@@ -185,22 +92,21 @@ func TestMetricsSerialParallelEquivalence(t *testing.T) {
 		return observed{render: out, metrics: string(reg.Snapshot().JSON()), trace: sb.String()}, nil
 	}
 	seeds := []uint64{1, 42, 7777}
-	for _, rc := range runnerCases() {
-		rc := rc
-		t.Run(rc.name, func(t *testing.T) {
+	for _, f := range All() {
+		t.Run(f.Name, func(t *testing.T) {
 			for _, seed := range seeds {
 				o := equivalenceOptions(seed)
 
 				o.Jobs, o.GA.Workers = 1, 1
 				ResetMemo()
-				serial, err := runObserved(rc, o)
+				serial, err := runObserved(f, o)
 				if err != nil {
 					t.Fatalf("seed %d -j 1: %v", seed, err)
 				}
 
 				o.Jobs, o.GA.Workers = 8, 8
 				ResetMemo()
-				par, err := runObserved(rc, o)
+				par, err := runObserved(f, o)
 				if err != nil {
 					t.Fatalf("seed %d -j 8: %v", seed, err)
 				}
@@ -246,5 +152,29 @@ func TestMemoServesRepeatedCells(t *testing.T) {
 	}
 	if warm.CacheMisses != cold.CacheMisses {
 		t.Fatalf("second run recomputed cells: cold %+v, warm %+v", cold, warm)
+	}
+}
+
+// TestMemoSharedAcrossRegeneratedTraces pins content-addressed sharing:
+// Attribution regenerates the very traces Fig. 5 generated, as fresh
+// objects, and must still find every optimization and simulation Fig. 5
+// memoized — the memo keys are built on trace content, not on identity.
+func TestMemoSharedAcrossRegeneratedTraces(t *testing.T) {
+	o := equivalenceOptions(42)
+	o.Jobs, o.GA.Workers = 1, 1
+	ResetMemo()
+	if _, err := Fig5(o, "all-cr"); err != nil {
+		t.Fatal(err)
+	}
+	before := MemoStats()
+	if _, err := Attribution(o, "all-cr"); err != nil {
+		t.Fatal(err)
+	}
+	after := MemoStats()
+	if after.CacheMisses != before.CacheMisses {
+		t.Fatalf("attribution computed %d fresh cells after fig5", after.CacheMisses-before.CacheMisses)
+	}
+	if after.CacheHits <= before.CacheHits {
+		t.Fatalf("attribution never probed the memo: before %+v, after %+v", before, after)
 	}
 }

@@ -4,7 +4,8 @@
 // challenge matrix of Table I and the per-mode timer configurations of
 // Table II — plus ablations over the design choices (arbiter, transfer
 // policy, timer value). Each runner returns a structured result with a
-// renderer; cmd/cohort-bench and the root bench_test.go drive them.
+// renderer; the ordered registry (All/Get) names them for cmd/cohort-bench,
+// and the root bench_test.go calls them directly.
 package experiments
 
 import (
@@ -78,30 +79,42 @@ func QuickOptions() Options {
 	return o
 }
 
-// profiles resolves the selected benchmark profiles.
-func (o *Options) profiles() ([]trace.Profile, error) {
-	names := o.Benchmarks
+// Validate rejects options no experiment can run: a non-positive or
+// non-finite Scale (which would floor every profile to one access per
+// core), a negative MaxAccessesPerCore and a platform without cores.
+func (o *Options) Validate() error {
+	switch {
+	case !(o.Scale > 0) || math.IsInf(o.Scale, 0):
+		return fmt.Errorf("experiments: scale %v must be positive and finite", o.Scale)
+	case o.MaxAccessesPerCore < 0:
+		return fmt.Errorf("experiments: access cap %d must be ≥ 0 (0 = no cap)", o.MaxAccessesPerCore)
+	case o.NCores < 1:
+		return fmt.Errorf("experiments: core count %d must be ≥ 1", o.NCores)
+	}
+	return nil
+}
+
+// profiles validates the options and resolves the named profiles with
+// their sizing applied; no names selects o.Benchmarks, and an empty
+// selection the full suite.
+func (o *Options) profiles(names ...string) ([]trace.Profile, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		names = o.Benchmarks
+	}
 	if len(names) == 0 {
 		names = trace.ProfileNames()
 	}
-	out := make([]trace.Profile, 0, len(names))
-	for _, n := range names {
-		p, err := trace.ProfileByName(n)
-		if err != nil {
+	out := make([]trace.Profile, len(names))
+	for i, n := range names {
+		var err error
+		if out[i], err = o.profile(n); err != nil {
 			return nil, err
 		}
-		p = p.Scaled(o.Scale)
-		if o.MaxAccessesPerCore > 0 && p.AccessesPerCore > o.MaxAccessesPerCore {
-			p.AccessesPerCore = o.MaxAccessesPerCore
-		}
-		out = append(out, p)
 	}
 	return out, nil
-}
-
-// generate produces the trace for one profile.
-func (o *Options) generate(p trace.Profile) *trace.Trace {
-	return p.Generate(o.NCores, 64, o.Seed)
 }
 
 // profile resolves one named profile with the options' sizing applied.

@@ -29,33 +29,26 @@ type OptimizerAblation struct {
 
 // AblationOptimizer runs both engines on each benchmark (all cores timed).
 func AblationOptimizer(o Options) (*OptimizerAblation, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &OptimizerAblation{}
-	base := config.PaperDefaults(o.NCores, 1)
-	rows, err := parallel.MapErr(o.jobs(), len(profiles), func(pi int) (OptimizerAblationRow, error) {
-		p := profiles[pi]
-		tr := o.generate(p)
+	rows, err := perProfile(&o, func(w *workload) (OptimizerAblationRow, error) {
+		base := config.PaperDefaults(o.NCores, 1)
 		timed := make([]bool, o.NCores)
 		for i := range timed {
 			timed[i] = true
 		}
-		prob := &opt.Problem{Lat: base.Lat, L1: base.L1, Streams: tr.Streams, Timed: timed}
+		prob := &opt.Problem{Lat: base.Lat, L1: base.L1, Streams: w.tr.Streams, Timed: timed}
 		ga, err := opt.Optimize(prob, o.GA)
 		if err != nil {
-			return OptimizerAblationRow{}, fmt.Errorf("optimizer ablation %s ga: %w", p.Name, err)
+			return OptimizerAblationRow{}, fmt.Errorf("optimizer ablation %s ga: %w", w.tr.Name, err)
 		}
 		hcConf := opt.DefaultHC(o.GA.Seed)
 		hcConf.Workers = o.GA.Workers
 		hcConf.OracleCurve = o.GA.OracleCurve
 		hc, err := opt.HillClimb(prob, hcConf)
 		if err != nil {
-			return OptimizerAblationRow{}, fmt.Errorf("optimizer ablation %s hc: %w", p.Name, err)
+			return OptimizerAblationRow{}, fmt.Errorf("optimizer ablation %s hc: %w", w.tr.Name, err)
 		}
 		return OptimizerAblationRow{
-			Benchmark:   p.Name,
+			Benchmark:   w.tr.Name,
 			GAObjective: ga.Eval.Objective, HCObjective: hc.Eval.Objective,
 			GAEvals: ga.Evaluations, HCEvals: hc.Evaluations,
 		}, nil
@@ -63,8 +56,7 @@ func AblationOptimizer(o Options) (*OptimizerAblation, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	return res, nil
+	return &OptimizerAblation{Rows: rows}, nil
 }
 
 // Render lays out the engine comparison.
@@ -108,6 +100,9 @@ func ExtensionScalability(o Options, benchmark string, theta config.Timer, coreC
 	if len(coreCounts) == 0 {
 		coreCounts = []int{2, 4, 8, 16}
 	}
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	p, err := o.profile(benchmark)
 	if err != nil {
 		return nil, err
@@ -118,16 +113,12 @@ func ExtensionScalability(o Options, benchmark string, theta config.Timer, coreC
 		if n < 1 {
 			return ScalabilityRow{}, fmt.Errorf("experiments: core count %d", n)
 		}
-		tr := p.Generate(n, 64, o.Seed)
-		timers := make([]config.Timer, n)
-		for i := range timers {
-			timers[i] = theta
-		}
+		timers := uniform(n, theta)
 		cfg, err := config.CoHoRT(n, 1, timers)
 		if err != nil {
 			return ScalabilityRow{}, err
 		}
-		run, err := runSystem(cfg, tr)
+		run, err := runSystem(cfg, newWorkload(p.Generate(n, 64, o.Seed)))
 		if err != nil {
 			return ScalabilityRow{}, fmt.Errorf("scalability n=%d: %w", n, err)
 		}

@@ -6,9 +6,7 @@ import (
 	"cohort/internal/analysis"
 	"cohort/internal/config"
 	"cohort/internal/obs"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
-	"cohort/internal/trace"
 )
 
 // SystemWCML holds the per-core experimental (measured) and analytical
@@ -49,49 +47,23 @@ func Fig5(o Options, scenarioName string) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig5Result{Scenario: sc}
-	// One cell per benchmark; cells are independent, so they fan out across
-	// the worker pool and are reduced in profile order below.
-	rows, err := parallel.MapErr(o.jobs(), len(profiles), func(pi int) (Fig5Row, error) {
-		p := profiles[pi]
-		tr := o.generate(p)
-		row := Fig5Row{Benchmark: p.Name}
-
-		// CoHoRT: optimized timers on critical cores, MSI elsewhere.
-		ga, err := optimizeTimers(&o, tr, sc.Critical)
+	rows, err := perProfile(&o, func(w *workload) (Fig5Row, error) {
+		timers, systems, err := compared(&o, w, sc)
 		if err != nil {
-			return row, fmt.Errorf("fig5 %s: %w", p.Name, err)
+			return Fig5Row{}, fmt.Errorf("fig5 %w", err)
 		}
-		row.Timers = ga.Timers
-		cohortCfg, err := config.CoHoRT(o.NCores, 1, ga.Timers)
-		if err != nil {
-			return row, err
-		}
-		row.CoHoRT, err = measureWCML(cohortCfg, &o, tr)
-		if err != nil {
-			return row, fmt.Errorf("fig5 %s cohort: %w", p.Name, err)
-		}
-
-		pccCfg := config.PCC(o.NCores)
-		row.PCC, err = measureWCML(pccCfg, &o, tr)
-		if err != nil {
-			return row, fmt.Errorf("fig5 %s pcc: %w", p.Name, err)
-		}
-
-		pendCfg := config.PENDULUM(sc.Critical)
-		row.Pendulum, err = measureWCML(pendCfg, &o, tr)
-		if err != nil {
-			return row, fmt.Errorf("fig5 %s pendulum: %w", p.Name, err)
+		row := Fig5Row{Benchmark: w.tr.Name, Timers: timers}
+		for i, dst := range []*SystemWCML{&row.CoHoRT, &row.PCC, &row.Pendulum} {
+			if *dst, err = measureWCML(systems[i], &o, w); err != nil {
+				return row, fmt.Errorf("fig5 %s %s: %w", w.tr.Name, sysNames[i], err)
+			}
 		}
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := &Fig5Result{Scenario: sc, Rows: rows}
 	var pccRatios, pendRatios []float64
 	for _, row := range rows {
 		for i, cr := range sc.Critical {
@@ -105,7 +77,6 @@ func Fig5(o Options, scenarioName string) (*Fig5Result, error) {
 				pendRatios = append(pendRatios, float64(row.Pendulum.Bound[i])/float64(row.CoHoRT.Bound[i]))
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	res.PCCRatio = geomean(pccRatios)
 	res.PendulumRatio = geomean(pendRatios)
@@ -116,14 +87,33 @@ func Fig5(o Options, scenarioName string) (*Fig5Result, error) {
 	return res, nil
 }
 
+// sysNames fixes the order of the three compared systems in compared's
+// configs and in the attribution rows and shares.
+var sysNames = []string{"CoHoRT", "PCC", "PENDULUM"}
+
+// compared returns the three systems Fig. 5 and Fig. 6 compare, in sysNames
+// order — CoHoRT with GA-optimized timers on the scenario's critical cores
+// (MSI elsewhere), PCC, and PENDULUM — plus CoHoRT's timers.
+func compared(o *Options, w *workload, sc Scenario) ([]config.Timer, []*config.System, error) {
+	ga, err := optimizeTimers(o, w, sc.Critical)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", w.tr.Name, err)
+	}
+	cohortCfg, err := config.CoHoRT(o.NCores, 1, ga.Timers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ga.Timers, []*config.System{cohortCfg, config.PCC(o.NCores), config.PENDULUM(sc.Critical)}, nil
+}
+
 // measureWCML runs one system and pairs the measured per-core total memory
 // latency with its analytical bound.
-func measureWCML(cfg *config.System, o *Options, tr *trace.Trace) (SystemWCML, error) {
-	bounds, err := analysis.Bounds(cfg, tr)
+func measureWCML(cfg *config.System, o *Options, w *workload) (SystemWCML, error) {
+	bounds, err := analysis.Bounds(cfg, w.tr)
 	if err != nil {
 		return SystemWCML{}, err
 	}
-	run, err := runSystem(cfg, tr)
+	run, err := runSystem(cfg, w)
 	if err != nil {
 		return SystemWCML{}, err
 	}

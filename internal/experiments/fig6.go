@@ -5,7 +5,6 @@ import (
 
 	"cohort/internal/config"
 	"cohort/internal/obs"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
 )
 
@@ -36,56 +35,35 @@ func Fig6(o Options, scenarioName string) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig6Result{Scenario: sc}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles), func(pi int) (Fig6Row, error) {
-		p := profiles[pi]
-		tr := o.generate(p)
-		row := Fig6Row{Benchmark: p.Name}
-
-		base, err := runSystem(config.MSIFCFS(o.NCores), tr)
+	rows, err := perProfile(&o, func(w *workload) (Fig6Row, error) {
+		row := Fig6Row{Benchmark: w.tr.Name}
+		base, err := runSystem(config.MSIFCFS(o.NCores), w)
 		if err != nil {
-			return row, fmt.Errorf("fig6 %s msi: %w", p.Name, err)
+			return row, fmt.Errorf("fig6 %s msi: %w", w.tr.Name, err)
 		}
 		row.BaselineCycles = base.Cycles
-
-		ga, err := optimizeTimers(&o, tr, sc.Critical)
+		_, systems, err := compared(&o, w, sc)
 		if err != nil {
-			return row, err
+			return row, fmt.Errorf("fig6 %w", err)
 		}
-		cohortCfg, err := config.CoHoRT(o.NCores, 1, ga.Timers)
-		if err != nil {
-			return row, err
+		for i, dst := range []*float64{&row.CoHoRT, &row.PCC, &row.Pendulum} {
+			run, err := runSystem(systems[i], w)
+			if err != nil {
+				return row, fmt.Errorf("fig6 %s %s: %w", w.tr.Name, sysNames[i], err)
+			}
+			*dst = float64(run.Cycles) / float64(base.Cycles)
 		}
-		cohort, err := runSystem(cohortCfg, tr)
-		if err != nil {
-			return row, fmt.Errorf("fig6 %s cohort: %w", p.Name, err)
-		}
-		pcc, err := runSystem(config.PCC(o.NCores), tr)
-		if err != nil {
-			return row, fmt.Errorf("fig6 %s pcc: %w", p.Name, err)
-		}
-		pend, err := runSystem(config.PENDULUM(sc.Critical), tr)
-		if err != nil {
-			return row, fmt.Errorf("fig6 %s pendulum: %w", p.Name, err)
-		}
-		row.CoHoRT = float64(cohort.Cycles) / float64(base.Cycles)
-		row.PCC = float64(pcc.Cycles) / float64(base.Cycles)
-		row.Pendulum = float64(pend.Cycles) / float64(base.Cycles)
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	res := &Fig6Result{Scenario: sc, Rows: rows}
 	var ch, pc, pd []float64
 	for _, row := range rows {
 		ch = append(ch, row.CoHoRT)
 		pc = append(pc, row.PCC)
 		pd = append(pd, row.Pendulum)
-		res.Rows = append(res.Rows, row)
 	}
 	res.AvgCoHoRT, res.AvgPCC, res.AvgPendulum = geomean(ch), geomean(pc), geomean(pd)
 	o.observeFigure("fig6/"+sc.Name, len(rows), func(reg *obs.Registry, lbl obs.Label) {

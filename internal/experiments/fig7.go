@@ -74,24 +74,26 @@ func Fig7(o Options, benchmark string, stage2Factor, stage3Factor float64) (*Fig
 	if stage2Factor <= 1 || stage3Factor <= 1 {
 		return nil, fmt.Errorf("experiments: stage factors must exceed 1, got %.2f/%.2f", stage2Factor, stage3Factor)
 	}
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	p, err := o.profile(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	tr := o.generate(p)
+	w := o.workload(p)
 
 	res := &Fig7Result{Benchmark: p.Name, Timers: PaperTable2()}
 	levels := len(res.Timers)
 
 	// c0's analytical bound at each mode (Eq. 1 + Eq. 2 with that mode's Θ);
 	// the per-mode analyses are independent, so they fan out as cells.
-	lat := config.PaperDefaults(o.NCores, levels).Lat
-	l1 := config.PaperDefaults(o.NCores, levels).L1
+	plat := config.PaperDefaults(o.NCores, levels)
 	res.BoundPerMode = parallel.Map(o.jobs(), levels, func(m int) int64 {
 		timers := res.Timers[m]
-		wcl := analysis.WCLCoHoRT(lat, timers, 0)
-		mh, mm := analysis.IsolationHits(tr.Streams[0], l1, lat, timers[0])
-		return analysis.WCML(mh, mm, lat.Hit, wcl)
+		wcl := analysis.WCLCoHoRT(plat.Lat, timers, 0)
+		mh, mm := analysis.IsolationHits(w.tr.Streams[0], plat.L1, plat.Lat, timers[0])
+		return analysis.WCML(mh, mm, plat.Lat.Hit, wcl)
 	})
 
 	// Stage requirements: stage 1 is satisfiable at mode 1 with a little
@@ -141,11 +143,11 @@ func Fig7(o Options, benchmark string, stage2Factor, stage3Factor float64) (*Fig
 		}
 		cfg.Cores[i].TimerLUT = lut
 	}
-	baseline, err := runSystem(cfg.Clone(), tr)
+	baseline, err := runSystem(cfg.Clone(), w)
 	if err != nil {
 		return nil, fmt.Errorf("fig7 baseline: %w", err)
 	}
-	sys, err := core.New(cfg, tr)
+	sys, err := core.New(cfg, w.tr)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +167,7 @@ func Fig7(o Options, benchmark string, stage2Factor, stage3Factor float64) (*Fig
 	}
 	res.SimCompleted = true
 	for i := range run.Cores {
-		if run.Cores[i].Accesses != int64(tr.Lambda(i)) {
+		if run.Cores[i].Accesses != int64(w.tr.Lambda(i)) {
 			res.SimCompleted = false
 		}
 	}

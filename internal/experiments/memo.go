@@ -3,7 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"cohort/internal/config"
 	"cohort/internal/core"
@@ -26,12 +25,14 @@ import (
 // exact, the hit/miss split can differ run to run when two cells race to
 // compute the same key. Rendered experiment output therefore never includes
 // these counters; they are reported out-of-band via MemoStats.
+//
+// Both keys are built on the trace's content fingerprint, which the caller
+// computes once where it generates the trace (see workload) — so separately
+// generated traces with the same content share entries, and the memos hold
+// results, never traces.
 var (
 	runMemo = parallel.NewCache[*stats.Run]()
 	optMemo = parallel.NewCache[*opt.Result]()
-
-	fpMu    sync.Mutex
-	fpCache = map[*trace.Trace]string{}
 )
 
 // ResetMemo drops every memoized result. The serial-equivalence tests call
@@ -39,9 +40,6 @@ var (
 func ResetMemo() {
 	runMemo.Reset()
 	optMemo.Reset()
-	fpMu.Lock()
-	fpCache = map[*trace.Trace]string{}
-	fpMu.Unlock()
 }
 
 // MemoStats reports the combined memo counters (simulations + optimizations).
@@ -54,16 +52,9 @@ func MemoStats() stats.EngineStats {
 	}
 }
 
-// traceFingerprint content-addresses a trace by digesting every access of
-// every stream. The digest is cached per *Trace (traces are immutable after
-// generation), so each trace is hashed once per process.
-func traceFingerprint(tr *trace.Trace) string {
-	fpMu.Lock()
-	fp, ok := fpCache[tr]
-	fpMu.Unlock()
-	if ok {
-		return fp
-	}
+// fingerprint content-addresses a trace by digesting every access of every
+// stream.
+func fingerprint(tr *trace.Trace) string {
 	k := parallel.NewKey("experiments/trace")
 	k.Str(tr.Name)
 	k.Int(len(tr.Streams))
@@ -75,11 +66,7 @@ func traceFingerprint(tr *trace.Trace) string {
 			k.Int64(a.Gap)
 		}
 	}
-	fp = k.Sum()
-	fpMu.Lock()
-	fpCache[tr] = fp
-	fpMu.Unlock()
-	return fp
+	return k.Sum()
 }
 
 // optimizeTimers runs the GA for a scenario: critical cores get optimized
@@ -87,26 +74,15 @@ func traceFingerprint(tr *trace.Trace) string {
 // content, the platform width and every result-affecting GA parameter —
 // Workers and the exact curve oracle (OracleCurve) return byte-identical
 // Results, so the cache key must not distinguish them.
-func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, error) {
+func optimizeTimers(o *Options, w *workload, critical []bool) (*opt.Result, error) {
 	k := parallel.NewKey("experiments/opt")
-	k.Str(traceFingerprint(tr))
+	k.Str(w.fp)
 	k.Int(o.NCores)
 	k.Int(len(critical))
 	for _, c := range critical {
 		k.Bool(c)
 	}
-	g := o.GA
-	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
-	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
-	// Workers and OracleCurve are result-neutral and stay out of the key.
-	// The tier-2 surrogate is not — it changes which children are evaluated
-	// exactly and can move the optimum — so it joins the key, but only when
-	// enabled: every surrogate-off key (and the fingerprints built on them)
-	// stays byte-stable.
-	if g.Surrogate {
-		k.Bool(true).Float64(g.SurrogateMargin)
-	}
-	key := k.Sum()
+	key := o.GA.Key(k).Sum()
 	if r, ok := optMemo.Get(key); ok {
 		progress().AddMemoHits(1)
 		return r, nil
@@ -117,7 +93,7 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 	prob := &opt.Problem{
 		Lat:     cfg.Lat,
 		L1:      cfg.L1,
-		Streams: tr.Streams,
+		Streams: w.tr.Streams,
 		Timed:   critical,
 	}
 	// Strip the deterministic observability hooks before the memoized call:
@@ -137,23 +113,23 @@ func optimizeTimers(o *Options, tr *trace.Trace, critical []bool) (*opt.Result, 
 	return r, nil
 }
 
-// runSystem simulates one configuration and returns the measurements.
-// Results are memoized on the configuration's JSON form plus the trace
-// content; the returned *stats.Run is shared and must be treated as
-// read-only.
-func runSystem(cfg *config.System, tr *trace.Trace) (*stats.Run, error) {
+// runSystem simulates one configuration on a workload and returns the
+// measurements. Results are memoized on the configuration's JSON form plus
+// the trace fingerprint; the returned *stats.Run is shared and must be
+// treated as read-only.
+func runSystem(cfg *config.System, w *workload) (*stats.Run, error) {
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fingerprinting config: %w", err)
 	}
-	key := parallel.NewKey("experiments/run").Bytes(cfgJSON).Str(traceFingerprint(tr)).Sum()
+	key := parallel.NewKey("experiments/run").Bytes(cfgJSON).Str(w.fp).Sum()
 	if run, ok := runMemo.Get(key); ok {
 		progress().AddMemoHits(1)
 		return run, nil
 	}
 	progress().AddMemoMisses(1)
 
-	sys, err := core.New(cfg, tr)
+	sys, err := core.New(cfg, w.tr)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
 )
 
@@ -39,63 +38,38 @@ func NonPerfect(o Options) (*NonPerfectResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	res := &NonPerfectResult{}
-	rows, err := parallel.MapErr(o.jobs(), len(profiles), func(pi int) (NonPerfectRow, error) {
-		p := profiles[pi]
-		tr := o.generate(p)
-		row := NonPerfectRow{Benchmark: p.Name, ExpUnderBound: true}
-
+	rows, err := perProfile(&o, func(w *workload) (NonPerfectRow, error) {
+		row := NonPerfectRow{Benchmark: w.tr.Name, ExpUnderBound: true}
 		baseCfg := config.MSIFCFS(o.NCores)
 		baseCfg.PerfectLLC = false
-		base, err := runSystem(baseCfg, tr)
+		base, err := runSystem(baseCfg, w)
 		if err != nil {
-			return row, fmt.Errorf("nonperfect %s msi: %w", p.Name, err)
+			return row, fmt.Errorf("nonperfect %s msi: %w", w.tr.Name, err)
 		}
-
-		ga, err := optimizeTimers(&o, tr, sc.Critical)
+		_, systems, err := compared(&o, w, sc)
 		if err != nil {
-			return row, err
+			return row, fmt.Errorf("nonperfect %w", err)
 		}
-		cohortCfg, err := config.CoHoRT(o.NCores, 1, ga.Timers)
-		if err != nil {
-			return row, err
+		runs := make([]*stats.Run, len(systems))
+		for i, cfg := range systems {
+			cfg.PerfectLLC = false
+			if runs[i], err = runSystem(cfg, w); err != nil {
+				return row, fmt.Errorf("nonperfect %s %s: %w", w.tr.Name, sysNames[i], err)
+			}
 		}
-		cohortCfg.PerfectLLC = false
-		cohortBounds, err := analysis.Bounds(cohortCfg, tr)
-		if err != nil {
-			return row, err
-		}
-		cohort, err := runSystem(cohortCfg, tr)
-		if err != nil {
-			return row, fmt.Errorf("nonperfect %s cohort: %w", p.Name, err)
-		}
-
-		pccCfg := config.PCC(o.NCores)
-		pccCfg.PerfectLLC = false
-		pccBounds, err := analysis.Bounds(pccCfg, tr)
-		if err != nil {
-			return row, err
-		}
-		pcc, err := runSystem(pccCfg, tr)
-		if err != nil {
-			return row, fmt.Errorf("nonperfect %s pcc: %w", p.Name, err)
-		}
-
-		pendCfg := config.PENDULUM(sc.Critical)
-		pendCfg.PerfectLLC = false
-		pend, err := runSystem(pendCfg, tr)
-		if err != nil {
-			return row, fmt.Errorf("nonperfect %s pendulum: %w", p.Name, err)
-		}
-
+		cohort, pcc := runs[0], runs[1]
 		row.CoHoRT = float64(cohort.Cycles) / float64(base.Cycles)
 		row.PCC = float64(pcc.Cycles) / float64(base.Cycles)
-		row.Pendulum = float64(pend.Cycles) / float64(base.Cycles)
+		row.Pendulum = float64(runs[2].Cycles) / float64(base.Cycles)
 
+		cohortBounds, err := analysis.Bounds(systems[0], w.tr)
+		if err != nil {
+			return row, err
+		}
+		pccBounds, err := analysis.Bounds(systems[1], w.tr)
+		if err != nil {
+			return row, err
+		}
 		var ratios []float64
 		for i := 0; i < o.NCores; i++ {
 			if cohort.Cores[i].TotalLatency > cohortBounds[i].WCMLBound ||
@@ -110,13 +84,13 @@ func NonPerfect(o Options) (*NonPerfectResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := &NonPerfectResult{Rows: rows}
 	var ch, pc, pd, br []float64
 	for _, row := range rows {
 		ch = append(ch, row.CoHoRT)
 		pc = append(pc, row.PCC)
 		pd = append(pd, row.Pendulum)
 		br = append(br, row.CoHoRTBoundRatio)
-		res.Rows = append(res.Rows, row)
 	}
 	res.AvgCoHoRT, res.AvgPCC, res.AvgPendulum = geomean(ch), geomean(pc), geomean(pd)
 	res.AvgBoundRatio = geomean(br)

@@ -48,19 +48,13 @@ func (o *Options) observeFigure(name string, cells int, publish func(reg *obs.Re
 // digest the process-wide memos key on. Run manifests use it to tie results
 // to exact workload content.
 func Fingerprint(tr *trace.Trace) string {
-	return hex.EncodeToString([]byte(traceFingerprint(tr)))
+	return hex.EncodeToString([]byte(fingerprint(tr)))
 }
 
 // TraceRefs generates the workload traces selected by the options and
 // returns their names and content fingerprints for run manifests.
 func TraceRefs(o Options) ([]obs.TraceRef, error) {
-	profiles, err := o.profiles()
-	if err != nil {
-		return nil, err
-	}
-	refs := make([]obs.TraceRef, 0, len(profiles))
-	for _, p := range profiles {
-		refs = append(refs, obs.TraceRef{Name: p.Name, Fingerprint: Fingerprint(o.generate(p))})
-	}
-	return refs, nil
+	return perProfile(&o, func(w *workload) (obs.TraceRef, error) {
+		return obs.TraceRef{Name: w.tr.Name, Fingerprint: hex.EncodeToString([]byte(w.fp))}, nil
+	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"cohort/internal/config"
 	"cohort/internal/obs"
-	"cohort/internal/parallel"
 	"cohort/internal/stats"
 )
 
@@ -40,36 +39,27 @@ type Table2Result struct {
 // Table2 runs the per-mode optimization for a benchmark. Core i gets
 // criticality N−i (c0 highest), matching the paper's experiment.
 func Table2(o Options, benchmark string) (*Table2Result, error) {
-	p, err := o.profile(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	tr := o.generate(p)
-	res := &Table2Result{Benchmark: p.Name}
-	levels := o.NCores
 	// One GA run per mode; the modes are independent optimization problems.
-	rows, err := parallel.MapErr(o.jobs(), levels, func(mi int) (Table2Row, error) {
-		m := mi + 1
+	var modes []int
+	for m := 1; m <= o.NCores; m++ {
+		modes = append(modes, m)
+	}
+	rows, err := sweep(&o, []string{benchmark}, modes, func(w *workload, m int) (Table2Row, error) {
 		timed := make([]bool, o.NCores)
 		for i := range timed {
-			crit := o.NCores - i
-			timed[i] = crit >= m
+			timed[i] = o.NCores-i >= m // core i has criticality N−i
 		}
-		ga, err := optimizeTimers(&o, tr, timed)
+		ga, err := optimizeTimers(&o, w, timed)
 		if err != nil {
 			return Table2Row{}, fmt.Errorf("table2 mode %d: %w", m, err)
 		}
-		return Table2Row{
-			Mode:      m,
-			Timers:    ga.Timers,
-			Objective: ga.Eval.Objective,
-		}, nil
+		return Table2Row{Mode: m, Timers: ga.Timers, Objective: ga.Eval.Objective}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	o.observeFigure("table2/"+p.Name, levels, func(reg *obs.Registry, lbl obs.Label) {
+	res := &Table2Result{Benchmark: benchmark, Rows: rows}
+	o.observeFigure("table2/"+benchmark, len(rows), func(reg *obs.Registry, lbl obs.Label) {
 		for _, row := range res.Rows {
 			reg.FloatGauge("experiments_table2_objective",
 				lbl, obs.L("mode", fmt.Sprintf("%d", row.Mode))).Set(row.Objective)

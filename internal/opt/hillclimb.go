@@ -54,8 +54,13 @@ func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if hc.Restarts < 1 || hc.MaxSteps < 1 {
-		return nil, fmt.Errorf("opt: degenerate HC config %+v", hc)
+	// Like Optimize, name only the offending field, never the Progress
+	// pointer.
+	if hc.Restarts < 1 {
+		return nil, fmt.Errorf("opt: degenerate HC config: Restarts %d, need ≥ 1", hc.Restarts)
+	}
+	if hc.MaxSteps < 1 {
+		return nil, fmt.Errorf("opt: degenerate HC config: MaxSteps %d, need ≥ 1", hc.MaxSteps)
 	}
 	nGenes := len(p.timedCores())
 	res := &Result{}

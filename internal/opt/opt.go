@@ -650,6 +650,21 @@ func DefaultGA(seed uint64) GAConfig {
 	}
 }
 
+// Key writes every result-affecting field into a cache or config key.
+// Workers and OracleCurve are result-neutral and stay out of it, as do the
+// observability hooks. The tier-2 surrogate is not neutral — it changes
+// which children are evaluated exactly and can move the optimum — so it
+// joins the key, but only when enabled: every surrogate-off key (and the
+// fingerprints built on them) stays byte-stable.
+func (g GAConfig) Key(k *parallel.Key) *parallel.Key {
+	k.Int(g.Pop).Int(g.Generations).Int(g.Elite).Int(g.TournamentK)
+	k.Float64(g.CrossoverProb).Float64(g.MutationProb).Uint64(g.Seed)
+	if g.Surrogate {
+		k.Bool(true).Float64(g.SurrogateMargin)
+	}
+	return k
+}
+
 // Result is the optimizer's output.
 type Result struct {
 	// Timers is the best full timer vector found.
@@ -684,8 +699,13 @@ func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if gc.Pop < 2 || gc.Generations < 1 {
-		return nil, fmt.Errorf("opt: degenerate GA config %+v", gc)
+	// Errors name only the offending field: the config also carries
+	// pointers (Progress, Metrics) whose addresses change run to run.
+	if gc.Pop < 2 {
+		return nil, fmt.Errorf("opt: degenerate GA config: Pop %d, need ≥ 2", gc.Pop)
+	}
+	if gc.Generations < 1 {
+		return nil, fmt.Errorf("opt: degenerate GA config: Generations %d, need ≥ 1", gc.Generations)
 	}
 	if gc.Elite >= gc.Pop {
 		return nil, fmt.Errorf("opt: elite %d must be below population %d", gc.Elite, gc.Pop)

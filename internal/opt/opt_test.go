@@ -1,10 +1,13 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
+	"cohort/internal/obs"
+	"cohort/internal/parallel"
 	"cohort/internal/trace"
 )
 
@@ -224,6 +227,82 @@ func TestOptimizeConfigValidation(t *testing.T) {
 	gc.Elite = gc.Pop
 	if _, err := Optimize(p, gc); err == nil {
 		t.Fatal("elite ≥ pop accepted")
+	}
+}
+
+// TestDegenerateConfigErrorsNameField pins that a degenerate engine config
+// is reported by the offending field alone: formatting the whole config
+// would print the Progress pointer, and the message would change run to
+// run.
+func TestDegenerateConfigErrorsNameField(t *testing.T) {
+	p := problemFor("fft", 0.005, []bool{true, true, true, true})
+	h := obs.NewRunTracker(obs.WallClock{}).Register("test", "degenerate")
+	ga := func(pop, gens int) error {
+		gc := DefaultGA(1)
+		gc.Pop, gc.Generations, gc.Elite, gc.Progress = pop, gens, 0, h
+		_, err := Optimize(p, gc)
+		return err
+	}
+	hc := func(restarts, steps int) error {
+		c := DefaultHC(1)
+		c.Restarts, c.MaxSteps, c.Progress = restarts, steps, h
+		_, err := HillClimb(p, c)
+		return err
+	}
+	for _, tc := range []struct {
+		name, field string
+		err         error
+	}{
+		{"ga pop", "Pop 1", ga(1, 5)},
+		{"ga gens", "Generations 0", ga(4, 0)},
+		{"hc restarts", "Restarts 0", hc(0, 5)},
+		{"hc steps", "MaxSteps -1", hc(1, -1)},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: degenerate config accepted", tc.name)
+			continue
+		}
+		if msg := tc.err.Error(); !strings.Contains(msg, tc.field) || strings.Contains(msg, "0x") {
+			t.Errorf("%s: error %q should name %q and print no pointer", tc.name, msg, tc.field)
+		}
+	}
+}
+
+// TestGAConfigKey pins which GA fields reach cache and config keys: every
+// result-affecting field moves the key, the result-neutral ones (Workers,
+// OracleCurve, the observability hooks) do not, and the surrogate joins
+// only when enabled, so surrogate-off keys stay byte-stable.
+func TestGAConfigKey(t *testing.T) {
+	key := func(g GAConfig) string { return g.Key(parallel.NewKey("test")).Sum() }
+	base := DefaultGA(1)
+	ref := key(base)
+	for name, mutate := range map[string]func(*GAConfig){
+		"Workers":     func(g *GAConfig) { g.Workers = 8 },
+		"OracleCurve": func(g *GAConfig) { g.OracleCurve = !g.OracleCurve },
+		"Progress":    func(g *GAConfig) { g.Progress = obs.NewRunTracker(obs.WallClock{}).Register("t", "k") },
+		"off margin":  func(g *GAConfig) { g.SurrogateMargin = 0.5 },
+	} {
+		g := base
+		mutate(&g)
+		if key(g) != ref {
+			t.Errorf("%s moved the key", name)
+		}
+	}
+	for name, mutate := range map[string]func(*GAConfig){
+		"Pop":           func(g *GAConfig) { g.Pop++ },
+		"Generations":   func(g *GAConfig) { g.Generations++ },
+		"Elite":         func(g *GAConfig) { g.Elite++ },
+		"TournamentK":   func(g *GAConfig) { g.TournamentK++ },
+		"CrossoverProb": func(g *GAConfig) { g.CrossoverProb /= 2 },
+		"MutationProb":  func(g *GAConfig) { g.MutationProb /= 2 },
+		"Seed":          func(g *GAConfig) { g.Seed++ },
+		"Surrogate":     func(g *GAConfig) { g.OracleCurve, g.Surrogate = true, true },
+	} {
+		g := base
+		mutate(&g)
+		if key(g) == ref {
+			t.Errorf("%s left the key unchanged", name)
+		}
 	}
 }
 
