@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh runs the same gate as CI (.github/workflows/ci.yml) locally:
-# build, go vet, the determinism lint suite, the test suite, and the
+# build, go vet, gofmt, the determinism lint suite, the test suite, and the
 # race-detector pass over the simulator packages.
 set -eu
 cd "$(dirname "$0")"
@@ -10,6 +10,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l (internal/lint/testdata excluded: the analyzers read those fixtures as written)"
+unformatted="$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)"
+if [ -n "$unformatted" ]; then
+  echo "    FAIL: gofmt would reformat:"
+  echo "$unformatted" | sed 's/^/      /'
+  exit 1
+fi
 
 echo "==> cohort-vet -baseline lint.baseline ./..."
 go run ./cmd/cohort-vet -baseline lint.baseline ./...

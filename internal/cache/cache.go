@@ -61,7 +61,9 @@ func (e *Entry) Valid() bool { return e.State != Invalid }
 // Cache is a set-associative cache array. Ways = 1 models the paper's
 // direct-mapped private caches. The zero value is not usable; use New.
 type Cache struct {
-	sets      [][]Entry
+	// ents holds every slot, set-major: way w of set s is ents[s*ways+w].
+	ents      []Entry
+	ways      int
 	lineShift uint
 	setMask   uint64
 	useClock  uint64
@@ -81,13 +83,9 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	if nSets <= 0 || bits.OnesCount(uint(nSets)) != 1 {
 		panic(fmt.Sprintf("cache: set count %d not a positive power of two", nSets))
 	}
-	sets := make([][]Entry, nSets)
-	backing := make([]Entry, nSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	return &Cache{
-		sets:      sets,
+		ents:      make([]Entry, nSets*ways),
+		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:   uint64(nSets - 1),
 	}
@@ -97,10 +95,10 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return len(c.sets[0]) }
+func (c *Cache) Ways() int { return c.ways }
 
 // LineAddr converts a byte address to a line-granularity address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
@@ -111,10 +109,10 @@ func (c *Cache) SetIndex(lineAddr uint64) int { return int(lineAddr & c.setMask)
 // Lookup returns the entry holding lineAddr, or nil on a miss. It does not
 // update recency; call Touch on a hit.
 func (c *Cache) Lookup(lineAddr uint64) *Entry {
-	set := c.sets[c.SetIndex(lineAddr)]
-	for i := range set {
-		if set[i].Valid() && set[i].LineAddr == lineAddr {
-			return &set[i]
+	base := c.SetIndex(lineAddr) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if e := &c.ents[i]; e.Valid() && e.LineAddr == lineAddr {
+			return e
 		}
 	}
 	return nil
@@ -132,10 +130,10 @@ func (c *Cache) Touch(e *Entry) {
 // The caller is responsible for handling write-back/invalidation of the
 // returned slot before calling Fill.
 func (c *Cache) VictimFor(lineAddr uint64, pinned func(*Entry) bool) *Entry {
-	set := c.sets[c.SetIndex(lineAddr)]
+	base := c.SetIndex(lineAddr) * c.ways
 	var victim *Entry
-	for i := range set {
-		e := &set[i]
+	for i := base; i < base+c.ways; i++ {
+		e := &c.ents[i]
 		if !e.Valid() {
 			return e
 		}
@@ -170,21 +168,15 @@ func (c *Cache) Invalidate(e *Entry) {
 // InvalidateAll empties the whole cache (used on mode-switch flush ablations
 // and tests).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = Entry{}
-		}
-	}
+	clear(c.ents)
 }
 
 // ForEach calls fn for every valid entry; iteration order is deterministic
 // (set-major, way-minor).
 func (c *Cache) ForEach(fn func(*Entry)) {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].Valid() {
-				fn(&c.sets[s][w])
-			}
+	for i := range c.ents {
+		if c.ents[i].Valid() {
+			fn(&c.ents[i])
 		}
 	}
 }
@@ -204,13 +196,12 @@ func (c *Cache) EntriesLRU(s int) []*Entry {
 // keep ascending way order exactly as sort.SliceStable did. Sets hold a
 // handful of ways, where insertion sort beats the generic sort outright.
 func (c *Cache) AppendEntriesLRU(dst []*Entry, s int) []*Entry {
-	set := c.sets[s]
 	base := len(dst)
-	for w := range set {
-		if !set[w].Valid() {
+	for w := s * c.ways; w < (s+1)*c.ways; w++ {
+		e := &c.ents[w]
+		if !e.Valid() {
 			continue
 		}
-		e := &set[w]
 		i := len(dst)
 		dst = append(dst, e)
 		for i > base && dst[i-1].lastUse > e.lastUse {

@@ -63,7 +63,7 @@ func FuzzReleaseTime(f *testing.F) {
 		// Differential oracle: for small operands, repeated addition from
 		// the fill cycle must reach the same expiry. Bounding the operands
 		// (not req−fetched, which can wrap) keeps the loop short.
-		small := func(v int64) bool { return v > -(1 << 20) && v < 1<<20 }
+		small := func(v int64) bool { return v > -(1<<20) && v < 1<<20 }
 		if theta <= 1<<12 && small(fetched) && small(req) {
 			naive := fetched + int64(theta)
 			for naive < req {

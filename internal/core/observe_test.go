@@ -82,6 +82,44 @@ func TestSetMetricsSnapshotMatchesRun(t *testing.T) {
 	}
 }
 
+// TestLLCValidLinesMetric checks llc_valid_lines on both LLC modes: a
+// perfect LLC has no array and reports 0 without dereferencing one, while
+// the non-perfect LLC still counts its resident lines.
+func TestLLCValidLinesMetric(t *testing.T) {
+	for _, perfect := range []bool{true, false} {
+		cfg := cfgN(2, 300, 300)
+		cfg.PerfectLLC = perfect
+		tr := mkTrace(
+			trace.Stream{{Addr: lineA, Kind: trace.Read}, {Addr: lineB, Kind: trace.Write}},
+			trace.Stream{{Addr: lineA, Kind: trace.Write, Gap: 300}},
+		)
+		sys, err := New(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		if err := sys.SetMetrics(reg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		m, ok := reg.Snapshot().Get("llc_valid_lines")
+		if !ok {
+			t.Fatalf("perfect=%v: llc_valid_lines not registered", perfect)
+		}
+		if perfect {
+			if m.Value != 0 || sys.LLC().Array() != nil {
+				t.Fatalf("perfect LLC: llc_valid_lines = %d, array built %v; want 0 and no array", m.Value, sys.LLC().Array() != nil)
+			}
+			continue
+		}
+		if want := int64(sys.LLC().Array().CountValid()); m.Value != want || want == 0 {
+			t.Fatalf("non-perfect LLC: llc_valid_lines = %d, array holds %d", m.Value, want)
+		}
+	}
+}
+
 func TestSetRecorderProducesSpans(t *testing.T) {
 	_, _, rec := observedRun(t)
 	var names []string

@@ -160,14 +160,14 @@ func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error
 	}
 
 	s := &System{
-		cfg:        cfg,
-		eng:        eng,
-		arb:        arb,
-		llc:        memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
-		dir:        coherence.NewDirectory(),
-		run:        stats.NewRun(cfg.N()),
-		mode:       cfg.Mode,
-		contention: make(map[uint64]*LineContention),
+		cfg:         cfg,
+		eng:         eng,
+		arb:         arb,
+		llc:         memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
+		dir:         coherence.NewDirectory(),
+		run:         stats.NewRun(cfg.N()),
+		mode:        cfg.Mode,
+		contention:  make(map[uint64]*LineContention),
 		kickPending: make([]int64, 0, cfg.N()+4),
 		cands:       make([]bus.Candidate, cfg.N()),
 		timerRecs:   make([]timerRec, 0, 4*cfg.N()),

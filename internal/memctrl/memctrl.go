@@ -13,7 +13,7 @@ import (
 
 // LLC is the shared last-level cache controller.
 type LLC struct {
-	arr     *cache.Cache
+	arr     *cache.Cache // nil in perfect mode: every access hits without it
 	perfect bool
 	dramLat int64
 
@@ -36,13 +36,16 @@ type LLC struct {
 }
 
 // New builds an LLC from its geometry. When perfect is true every fetch
-// hits; dramLat is the penalty added on a miss otherwise.
+// hits and no array is built — Fetch, WriteBack and Contains answer without
+// one; dramLat is the penalty added on a miss otherwise.
 func New(geom config.CacheGeometry, perfect bool, dramLat int64) *LLC {
 	l := &LLC{
-		arr:      cache.New(geom.SizeBytes, geom.LineBytes, geom.Ways),
 		perfect:  perfect,
 		dramLat:  dramLat,
 		bypassed: make(map[uint64]bool),
+	}
+	if !perfect {
+		l.arr = cache.New(geom.SizeBytes, geom.LineBytes, geom.Ways)
 	}
 	l.pinAdapter = func(e *cache.Entry) bool {
 		return l.curPinned != nil && l.curPinned(e.LineAddr)
@@ -147,8 +150,8 @@ func (l *LLC) Contains(lineAddr uint64) bool {
 }
 
 // Array exposes the underlying cache array for read-only state snapshots
-// (the exhaustive model checker's canonical encoding). In perfect mode the
-// array is unused and stays empty.
+// (the exhaustive model checker's canonical encoding). In perfect mode
+// there is no array and Array returns nil.
 func (l *LLC) Array() *cache.Cache { return l.arr }
 
 // Stats returns the controller's counters.
@@ -163,6 +166,11 @@ func (l *LLC) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("llc_misses", &l.misses)
 	reg.RegisterCounter("llc_evictions", &l.evictions)
 	reg.RegisterCounter("llc_bypasses", &l.bypasses)
-	reg.RegisterFunc("llc_valid_lines", func() int64 { return int64(l.arr.CountValid()) })
+	reg.RegisterFunc("llc_valid_lines", func() int64 {
+		if l.perfect {
+			return 0
+		}
+		return int64(l.arr.CountValid())
+	})
 	reg.RegisterFunc("llc_bypassed_lines", func() int64 { return int64(len(l.bypassed)) })
 }

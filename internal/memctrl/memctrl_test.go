@@ -12,6 +12,9 @@ func smallGeom() config.CacheGeometry {
 
 func TestPerfectLLCAlwaysHits(t *testing.T) {
 	l := New(smallGeom(), true, 100)
+	if l.Array() != nil {
+		t.Fatal("perfect LLC built an array it never reads")
+	}
 	for i := uint64(0); i < 1000; i++ {
 		penalty, backInv := l.Fetch(i, 0, nil)
 		if penalty != 0 || backInv != nil {

@@ -3,12 +3,14 @@ package opt
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cohort/internal/analysis"
 	"cohort/internal/config"
 	"cohort/internal/obs"
+	"cohort/internal/trace"
 )
 
 // The deterministic-parallelism contract: Optimize and HillClimb return a
@@ -233,6 +235,59 @@ func TestBatchedOracleWorkersCross(t *testing.T) {
 			if !reflect.DeepEqual(ref, got) {
 				t.Errorf("curve %v workers %d: Result differs from the serial reference", curve, w)
 			}
+		}
+	}
+}
+
+// TestBatchedOracleAnalyzerReuse pins the batched memo's allocation: one
+// fig5a-sized Optimize (fft at scale 0.05 capped to 4000 accesses, four
+// timed cores, population 20 × 16 generations) must allocate no more than a
+// base plus one BatchAnalyzer per concurrently running job. Each analyzer
+// carries a ~140 KB slab (256 sets × 17 saturation-grid columns × 32 B); an
+// evaluator that built one per oracle unit allocated ~2.7 MB here at every
+// worker count. The Results must be DeepEqual across Workers {1, 4, 8}.
+func TestBatchedOracleAnalyzerReuse(t *testing.T) {
+	prof, err := trace.ProfileByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof = prof.Scaled(0.05)
+	prof.AccessesPerCore = min(prof.AccessesPerCore, 4000)
+	timed := []bool{true, true, true, true}
+	p := &Problem{
+		Lat:     paperLat(),
+		L1:      geomL1(),
+		Streams: prof.Generate(len(timed), 64, 42).Streams,
+		Timed:   timed,
+	}
+	gc := DefaultGA(1)
+	gc.Pop, gc.Generations = 20, 16
+	gc.OracleCurve = false // the batched-memo path
+
+	// Measured: ~500 KB at Workers 1, one analyzer included. At most
+	// min(Workers, timed cores) jobs run at once, so no more analyzers
+	// than that may exist.
+	const base, perAnalyzer = 400 << 10, 160 << 10
+	var ref *Result
+	for _, w := range []int{1, 4, 8} {
+		gc.Workers = w
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Optimize(p, gc)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		ceiling := uint64(base + min(w, len(timed))*perAnalyzer)
+		if bytes > ceiling {
+			t.Errorf("workers %d: Optimize allocated %d bytes, ceiling %d — the evaluator is building an analyzer per oracle unit", w, bytes, ceiling)
+		}
+		t.Logf("workers %d: %d bytes (ceiling %d)", w, bytes, ceiling)
+		if ref == nil {
+			ref = res
+		} else if !reflect.DeepEqual(ref, res) {
+			t.Errorf("workers %d: Result differs from the Workers 1 run", w)
 		}
 	}
 }

@@ -49,6 +49,7 @@ func DefaultHC(seed uint64) HCConfig {
 // the step a pure function of the current point — unlike first-improvement
 // descent, whose trajectory depends on evaluation order — so the Result is
 // byte-identical for every HCConfig.Workers value.
+//
 //cohort:hotpath determinism
 func HillClimb(p *Problem, hc HCConfig) (*Result, error) {
 	if err := p.Validate(); err != nil {

@@ -321,6 +321,14 @@ type evaluator struct {
 	// order by prefill and the batched saturation sweep. Nil once curves are
 	// installed: the index answers every query from then on.
 	coreMemo []map[config.Timer][2]int64
+	// analyzers is the free list of batched-analysis scratch. prefill units
+	// and the saturation sweep take one and hand it back, so at most one
+	// analyzer (and its ~140 KB slab) exists per concurrently running job,
+	// and every later unit reuses it. BatchAnalyzer re-zeroes its state on
+	// every call, so reuse is invisible in the results. The analyzers die
+	// with the evaluator, at the end of the Optimize or HillClimb call. The
+	// buffer holds one slot per worker, the most analyzers that can exist.
+	analyzers chan *analysis.BatchAnalyzer
 	// computed counts oracle evaluations actually performed (cache misses
 	// deduped within each batch).
 	computed int
@@ -344,6 +352,7 @@ func newEvaluator(p *Problem, workers int, curve, surrogate bool, progress *obs.
 		workers:   workers,
 		curve:     curve,
 		evalCache: make(map[string]Evaluation, 256),
+		analyzers: make(chan *analysis.BatchAnalyzer, parallel.DefaultWorkers(workers)),
 		progress:  progress,
 	}
 	if curve && (surrogate || curveBuildBudget <= 0 || curvesWarm(p)) {
@@ -366,6 +375,23 @@ func (e *evaluator) engineStats() stats.EngineStats {
 		CacheMisses: e.cacheMisses,
 	}
 }
+
+// analyzer takes a free batched analyzer off the evaluator's list, building
+// one only when every existing analyzer is held by a running job. Hand it
+// back with release.
+func (e *evaluator) analyzer() *analysis.BatchAnalyzer {
+	select {
+	case ba := <-e.analyzers:
+		return ba
+	default:
+		return analysis.NewBatchAnalyzer(e.p.L1)
+	}
+}
+
+// release returns an analyzer to the free list. No more analyzers exist
+// than jobs ever ran at once, at most one per worker, so the send never
+// blocks.
+func (e *evaluator) release(ba *analysis.BatchAnalyzer) { e.analyzers <- ba }
 
 // oracleUnit is one batched-analysis job: a contiguous chunk of fresh timers
 // for one core, at most oracleBatchWidth wide.
@@ -414,12 +440,13 @@ func (e *evaluator) prefill(genomes [][]config.Timer) {
 	}
 	type unitResult struct{ hits, misses []int64 }
 	results := parallel.Map(e.workers, len(units), func(u int) unitResult {
-		ba := analysis.NewBatchAnalyzer(e.p.L1)
 		r := unitResult{
 			hits:   make([]int64, len(units[u].thetas)),
 			misses: make([]int64, len(units[u].thetas)),
 		}
+		ba := e.analyzer()
 		ba.IsolationHitsBatch(e.p.Streams[units[u].core], e.p.Lat, units[u].thetas, r.hits, r.misses)
+		e.release(ba)
 		return r
 	})
 	for u := range units {
@@ -545,8 +572,9 @@ func (e *evaluator) thetaIS() []config.Timer {
 		samples []analysis.TimerSample
 	}
 	results := parallel.Map(e.workers, len(timed), func(g int) satResult {
-		ba := analysis.NewBatchAnalyzer(e.p.L1)
+		ba := e.analyzer()
 		th, _, samples := ba.SaturationTimer(e.p.Streams[timed[g]], e.p.Lat)
+		e.release(ba)
 		return satResult{theta: th, samples: samples}
 	})
 	for g, i := range timed {
@@ -694,6 +722,7 @@ type Result struct {
 // the same order as a serial run; only the deduped oracle evaluations are
 // dispatched to workers. Optimize therefore returns a byte-identical Result
 // for every GAConfig.Workers value.
+//
 //cohort:hotpath determinism
 func Optimize(p *Problem, gc GAConfig) (*Result, error) {
 	if err := p.Validate(); err != nil {

@@ -3,6 +3,7 @@ package parallel
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sync"
 
@@ -92,27 +93,49 @@ func (c *Cache[V]) Stats() stats.EngineStats {
 	}
 }
 
-// Key accumulates the values that define a computation and digests them into
-// a content-addressed cache key. Append values in a fixed order; variable-
-// length fields are length-prefixed so no two distinct value sequences
-// produce the same byte stream. The digest is SHA-256, so key collisions —
-// which would silently alias two different computations — are not a practical
-// concern.
+// Key digests the values that define a computation into a content-addressed
+// cache key. Append values in a fixed order; variable-length fields are
+// length-prefixed so no two distinct value sequences produce the same byte
+// stream. The digest is SHA-256, so key collisions — which would silently
+// alias two different computations — are not a practical concern.
+//
+// The byte stream is hashed as it is appended, through a fixed scratch
+// buffer of keyScratch bytes, so keying a whole trace costs no more memory
+// than keying one integer. SHA-256 of a byte sequence does not depend on how
+// the sequence is split across writes, so the digest equals sha256.Sum256 of
+// the full concatenated encoding.
 type Key struct {
-	buf []byte
+	h       hash.Hash
+	n       int // pending bytes in scratch
+	scratch [keyScratch]byte
 }
+
+// keyScratch is the size of Key's pending-byte buffer: eight SHA-256
+// blocks, so a flush is rare and the buffer stays small enough to embed in
+// every key.
+const keyScratch = 512
 
 // NewKey starts a key in the given domain; distinct domains (e.g. "opt" vs
 // "sim") can never collide even over identical payloads.
 func NewKey(domain string) *Key {
-	k := &Key{}
+	k := &Key{h: sha256.New()}
 	k.Str(domain)
 	return k
 }
 
+// flush hashes the pending bytes.
+func (k *Key) flush() {
+	k.h.Write(k.scratch[:k.n])
+	k.n = 0
+}
+
 // Uint64 appends a fixed-width integer.
 func (k *Key) Uint64(v uint64) *Key {
-	k.buf = binary.LittleEndian.AppendUint64(k.buf, v)
+	if k.n+8 > keyScratch {
+		k.flush()
+	}
+	binary.LittleEndian.PutUint64(k.scratch[k.n:], v)
+	k.n += 8
 	return k
 }
 
@@ -136,19 +159,34 @@ func (k *Key) Bool(v bool) *Key {
 // Bytes appends a length-prefixed byte slice.
 func (k *Key) Bytes(b []byte) *Key {
 	k.Uint64(uint64(len(b)))
-	k.buf = append(k.buf, b...)
+	appendRaw(k, b)
 	return k
 }
 
 // Str appends a length-prefixed string.
 func (k *Key) Str(s string) *Key {
 	k.Uint64(uint64(len(s)))
-	k.buf = append(k.buf, s...)
+	appendRaw(k, s)
 	return k
 }
 
-// Sum returns the content digest as a compact string key.
+// appendRaw copies p into the scratch buffer, flushing each time it fills.
+func appendRaw[T string | []byte](k *Key, p T) {
+	for len(p) > 0 {
+		if k.n == keyScratch {
+			k.flush()
+		}
+		c := copy(k.scratch[k.n:], p)
+		k.n += c
+		p = p[c:]
+	}
+}
+
+// Sum returns the content digest of everything appended so far as a compact
+// string key. It does not reset the key: calling it twice returns the same
+// digest, and appending after Sum extends the same stream.
 func (k *Key) Sum() string {
-	h := sha256.Sum256(k.buf)
-	return string(h[:])
+	k.flush()
+	var d [sha256.Size]byte
+	return string(k.h.Sum(d[:0]))
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -211,6 +213,89 @@ func TestKeyNoAliasing(t *testing.T) {
 	b := NewKey("opt").Int(4).Float64(1.5).Bool(true).Str("fft").Sum()
 	if a != b {
 		t.Fatal("identical sequences produced different digests")
+	}
+}
+
+// TestKeyStreamedDigest checks that streaming through the scratch buffer is
+// invisible in the digest: Sum equals sha256.Sum256 of the reference
+// concatenated encoding for payloads below, exactly at and across the flush
+// size, including a Bytes field larger than the whole buffer, and a second
+// Sum returns the same digest.
+func TestKeyStreamedDigest(t *testing.T) {
+	// field is one appended value: a fixed-width word, a string or a byte
+	// slice (exactly one of the three is set).
+	type field struct {
+		u *uint64
+		s *string
+		b []byte
+	}
+	word := func(v uint64) field { return field{u: &v} }
+	str := func(v string) field { return field{s: &v} }
+	blob := func(n int) field {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + 3)
+		}
+		return field{b: b}
+	}
+	words := func(n int) []field {
+		out := make([]field, n)
+		for i := range out {
+			out[i] = word(uint64(i) * 0x9e3779b97f4a7c15)
+		}
+		return out
+	}
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	cat := func(parts ...[]field) []field {
+		var out []field
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		domain string
+		fields []field
+		size   int // expected encoded length, pinning where the case sits
+	}{
+		{"empty", "", nil, 8},
+		{"below", "opt", cat(words(3), []field{str("fft")}), 8 + 3 + 24 + 8 + 3},
+		// 8-byte domain header + 63 words: exactly one full buffer.
+		{"at", "", words(keyScratch/8 - 1), keyScratch},
+		// One byte past the buffer, carried by a string straddling the flush.
+		{"at+1", "", cat(words(keyScratch/8-2), []field{str("x")}), keyScratch + 1},
+		// An odd-length domain leaves the words misaligned with every flush.
+		{"across", "abc", words(3 * keyScratch / 8), 8 + 3 + 3*keyScratch},
+		{"bytes>buffer", "d", cat(words(2), []field{blob(3*keyScratch + 5)}, words(2)), 8 + 1 + 16 + 8 + 3*keyScratch + 5 + 16},
+		{"bytes=buffer", "d", []field{blob(keyScratch)}, 8 + 1 + 8 + keyScratch},
+	}
+	for _, tc := range cases {
+		k := NewKey(tc.domain)
+		ref := append(le(uint64(len(tc.domain))), tc.domain...)
+		for _, f := range tc.fields {
+			switch {
+			case f.u != nil:
+				k.Uint64(*f.u)
+				ref = append(ref, le(*f.u)...)
+			case f.s != nil:
+				k.Str(*f.s)
+				ref = append(append(ref, le(uint64(len(*f.s)))...), *f.s...)
+			case f.b != nil:
+				k.Bytes(f.b)
+				ref = append(append(ref, le(uint64(len(f.b)))...), f.b...)
+			}
+		}
+		if len(ref) != tc.size {
+			t.Fatalf("%s: reference encoding is %d bytes, case expects %d", tc.name, len(ref), tc.size)
+		}
+		want := sha256.Sum256(ref)
+		if got := k.Sum(); got != string(want[:]) {
+			t.Fatalf("%s: streamed digest differs from sha256 of the concatenated encoding", tc.name)
+		}
+		if got := k.Sum(); got != string(want[:]) {
+			t.Fatalf("%s: second Sum returned a different digest", tc.name)
+		}
 	}
 }
 

@@ -23,9 +23,9 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(refItem)) }
-func (h *refHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 func (h refHeap) peekOK(at Cycle, seq uint64) bool {
 	return h[0].at == at && h[0].seq == seq
 }
