@@ -47,6 +47,22 @@ done
 diff "$smokedir/all-j1.txt" "$smokedir/all-j8.txt"
 rm -rf "$smokedir"
 
+echo "==> bad sizing flags exit 1 with a message, never a panic"
+sizedir="$(mktemp -d)"
+for tool in cohort-sim cohort-opt cohort-analyze cohort-trace; do
+  go build -o "$sizedir/$tool" "./cmd/$tool"
+  for args in "-cores 0" "-scale 0"; do
+    # shellcheck disable=SC2086 # word-split the flag and its value
+    if "$sizedir/$tool" $args > "$sizedir/out.txt" 2>&1; then status=0; else status=$?; fi
+    if [ "$status" != 1 ] || grep -q 'panic:' "$sizedir/out.txt"; then
+      echo "    FAIL: $tool $args exited $status:"
+      sed 's/^/      /' "$sizedir/out.txt"
+      exit 1
+    fi
+  done
+done
+rm -rf "$sizedir"
+
 echo "==> batched-vs-scalar and curve-vs-scalar fuzz seeds (committed corpus)"
 go test -run 'FuzzBatchVsScalar|FuzzCurveVsScalar' ./internal/analysis
 

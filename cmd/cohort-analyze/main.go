@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"cohort"
+	"cohort/internal/cliutil"
 )
 
 func main() {
@@ -32,6 +33,9 @@ func main() {
 		levels    = flag.Int("levels", 1, "criticality levels (for the hardware bill)")
 	)
 	flag.Parse()
+	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	p, err := cohort.ProfileByName(*bench)
 	if err != nil {

@@ -57,6 +57,9 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cliutil.CheckSizing(fs); err != nil {
+		return err
+	}
 	log, err := cu.Logger(os.Stderr, clk)
 	if err != nil {
 		return err

@@ -42,6 +42,9 @@ func main() {
 		gaSd  = flag.Uint64("ga-seed", 1, "GA random seed")
 	)
 	flag.Parse()
+	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	clk := obs.Clock(obs.WallClock{})
 	log, err := cu.Logger(os.Stderr, clk)

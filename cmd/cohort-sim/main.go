@@ -53,6 +53,9 @@ func main() {
 		attr       = flag.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
 	)
 	flag.Parse()
+	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	clk := obs.Clock(obs.WallClock{})
 	log, err := cu.Logger(os.Stderr, clk)

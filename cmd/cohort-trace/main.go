@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"cohort"
+	"cohort/internal/cliutil"
 )
 
 func main() {
@@ -29,6 +30,9 @@ func main() {
 		list    = flag.Bool("list", false, "list available benchmark profiles")
 	)
 	flag.Parse()
+	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		for _, p := range cohort.Profiles() {

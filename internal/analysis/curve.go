@@ -21,10 +21,11 @@
 // window miss can flip within the timer domain; adjacent segments with
 // equal splits are merged.
 //
-// After construction the curve is verified against the SoA BatchAnalyzer:
-// every segment-start θ is re-evaluated through GuaranteedHitsBatch and any
-// mismatch panics — the batched kernel's role in the two-tier oracle is to
-// certify curve construction, not to serve queries. The seeded-fault hook
+// Each replay is one 1-lane pass of the θ-column kernel over the stream's
+// compiled replay (batch.go), which reads nextBreak off the same pass. After
+// construction every segment-start θ is re-evaluated through GuaranteedHits
+// and any mismatch panics: the certificate comes from the cache.Cache walk,
+// not from code that shares the curve's compile step. The seeded-fault hook
 // TestHooks.CurveBreakpointSkew shifts segment boundaries *after* that
 // verification, so downstream differential suites must catch the resulting
 // wrong answers themselves (fail-closed proof for the query path).
@@ -33,7 +34,6 @@ package analysis
 import (
 	"fmt"
 
-	"cohort/internal/cache"
 	"cohort/internal/config"
 	"cohort/internal/trace"
 )
@@ -48,6 +48,11 @@ var TestHooks struct {
 	// neighboring segment's split — silently wrong, exactly what the
 	// equivalence suites must detect.
 	CurveBreakpointSkew config.Timer
+	// CompileDropResident makes Compile record the stream's first resident
+	// read as non-resident, so that access always misses in the θ-column
+	// kernel — the shape of a tag-replay bug. The batched differentials
+	// must report it, and hit-curve verification must refuse the curve.
+	CompileDropResident bool
 }
 
 // curveMaxSweeps caps the number of replays one curve construction may
@@ -65,7 +70,8 @@ var curveMaxSweeps = 4096
 type HitCurve struct {
 	// Segment k covers θ ∈ [starts[k], starts[k+1]−1] (the last segment
 	// extends to the sweep frontier, or config.TimerMax when complete).
-	// starts[0] is always 1.
+	// starts[0] is always 1; the slices are empty only for a curve whose
+	// stream the kernel cannot answer exactly (tailStart 1).
 	starts []config.Timer
 	hits   []int64
 	misses []int64
@@ -82,147 +88,44 @@ type HitCurve struct {
 	wcl  int64
 }
 
-// curveBuilder holds the single-column replay state reused across the
-// sweep's replays: one cache array in the BatchAnalyzer entry layout, grown
-// once and re-zeroed per replay.
-type curveBuilder struct {
-	lineShift uint
-	setMask   uint64
-	ways      int
-	ents      []batchEntry
-}
-
-func newCurveBuilder(geom config.CacheGeometry) *curveBuilder {
-	// Reuse the batch analyzer's geometry validation and decomposition.
-	b := NewBatchAnalyzer(geom)
-	return &curveBuilder{
-		lineShift: b.lineShift,
-		setMask:   b.setMask,
-		ways:      b.ways,
-		ents:      make([]batchEntry, b.sets*b.ways),
-	}
-}
-
-// replay runs one in-isolation replay at θ — the same branch sequence as
-// GuaranteedHits — and additionally extracts nextBreak, the smallest θ' > θ
-// at which this replay's classification can first differ: the minimum
-// now − fetchedAt over window misses whose kind condition holds and whose
-// age is within the timer domain. nextBreak = 0 means no θ' ≤ TimerMax can
-// change anything — the current regime extends to the end of the domain.
-func (cb *curveBuilder) replay(s trace.Stream, latHit, wcl int64, theta config.Timer) (hits, misses int64, nextBreak config.Timer) {
-	clear(cb.ents)
-	ways := cb.ways
-	ents := cb.ents
-	window := int64(theta)
-	now := int64(0)
-	next := int64(config.TimerMax) + 1
-	useClock := uint64(0)
-	for ai := range s {
-		a := &s[ai]
-		line := a.Addr >> cb.lineShift
-		row := int(line&cb.setMask) * ways
-		isRead := a.Kind == trace.Read
-		now += a.Gap
-		hit := -1
-		for w := 0; w < ways; w++ {
-			e := &ents[row+w]
-			if e.state != cache.Invalid && e.lineAddr == line {
-				hit = w
-				break
-			}
-		}
-		if hit >= 0 {
-			e := &ents[row+hit]
-			if now <= e.fetchedAt+window && (isRead || e.state == cache.Modified) {
-				hits++
-				now += latHit
-				useClock++
-				e.lastUse = useClock
-				continue
-			}
-			if isRead || e.state == cache.Modified {
-				// A pure window miss: θ' ≥ now − fetchedAt would classify
-				// this access a hit (the kind condition already holds), so
-				// its age is a candidate breakpoint.
-				if age := now - e.fetchedAt; age <= int64(config.TimerMax) && age < next {
-					next = age
-				}
-			}
-			// Present but outside the window (or an upgrade): re-fill in
-			// place with a fresh window.
-			misses++
-			now += wcl
-			st := cache.Shared
-			if !isRead {
-				st = cache.Modified
-			}
-			e.lineAddr = line
-			e.state = st
-			e.fetchedAt = now
-			useClock++
-			e.lastUse = useClock
-			continue
-		}
-		// Cold or capacity miss: first invalid way, else strict-LRU with the
-		// lowest way winning ties — exactly cache.VictimFor with no pinning.
-		misses++
-		now += wcl
-		victim := -1
-		for w := 0; w < ways; w++ {
-			e := &ents[row+w]
-			if e.state == cache.Invalid {
-				victim = w
-				break
-			}
-			if victim == -1 || e.lastUse < ents[row+victim].lastUse {
-				victim = w
-			}
-		}
-		e := &ents[row+victim]
-		st := cache.Shared
-		if !isRead {
-			st = cache.Modified
-		}
-		e.lineAddr = line
-		e.state = st
-		e.fetchedAt = now
-		useClock++
-		e.lastUse = useClock
-	}
-	if next > int64(config.TimerMax) {
-		return hits, misses, 0
-	}
-	return hits, misses, config.Timer(next)
-}
-
 // NewHitCurve builds the complete (or capped) hit curve for one stream: the
 // exact step function θ → GuaranteedHits(s, geom, lat, θ, wcl) over the
-// timed domain θ ∈ [1, config.TimerMax]. Construction is verified against
-// the batched SoA kernel before the curve is returned.
+// timed domain θ ∈ [1, config.TimerMax]. Every sweep is one 1-lane kernel
+// pass over the compiled stream; construction is verified against
+// GuaranteedHits before the curve is returned. A stream the kernel cannot
+// answer exactly (see Compiled.exact) yields an empty, incomplete curve
+// whose every query falls back to GuaranteedHits.
 func NewHitCurve(s trace.Stream, geom config.CacheGeometry, lat config.Latencies, wcl int64) *HitCurve {
 	if wcl <= 0 {
 		// Same guard, same message as the scalar kernel.
 		panic(fmt.Sprintf("analysis: non-positive WCL %d", wcl))
 	}
 	hc := &HitCurve{complete: true, s: s, geom: geom, lat: lat, wcl: wcl}
-	cb := newCurveBuilder(geom)
+	cs := Compile(s, geom)
 	theta := config.Timer(1)
+	if !cs.exact(lat.Hit, wcl) {
+		hc.complete = false
+		hc.tailStart = theta
+		return hc
+	}
+	st := make([]int64, cs.slots)
+	lambda := int64(len(s))
 	for sweep := 0; ; sweep++ {
 		if sweep >= curveMaxSweeps {
 			hc.complete = false
 			hc.tailStart = theta
 			break
 		}
-		h, m, next := cb.replay(s, lat.Hit, wcl, theta)
-		if k := len(hc.starts); k == 0 || hc.hits[k-1] != h || hc.misses[k-1] != m {
+		h, next := cs.run1(st, int64(theta), lat.Hit, wcl)
+		if k := len(hc.starts); k == 0 || hc.hits[k-1] != h {
 			hc.starts = append(hc.starts, theta)
 			hc.hits = append(hc.hits, h)
-			hc.misses = append(hc.misses, m)
+			hc.misses = append(hc.misses, lambda-h)
 		}
-		if next == 0 {
+		if next > int64(config.TimerMax) {
 			break
 		}
-		theta = next
+		theta = config.Timer(next)
 	}
 	hc.verify()
 	if sk := TestHooks.CurveBreakpointSkew; sk != 0 {
@@ -242,27 +145,17 @@ func NewIsolationHitCurve(s trace.Stream, geom config.CacheGeometry, lat config.
 	return NewHitCurve(s, geom, lat, lat.SlotWidth())
 }
 
-// verify re-evaluates every segment start through the batched SoA kernel
-// and panics on any mismatch. Mid-segment values are covered by the regime-
-// constancy argument (DESIGN.md §17); the segment starts are exactly the
-// points where construction could have gone wrong.
+// verify re-evaluates every segment start through GuaranteedHits — the
+// cache.Cache walk, which shares no code with Compile or the kernel that
+// built the curve — and panics on any mismatch. Mid-segment values are
+// covered by the regime-constancy argument (DESIGN.md §17); the segment
+// starts are exactly the points where construction could have gone wrong.
 func (c *HitCurve) verify() {
-	if len(c.starts) == 0 {
-		return
-	}
-	b := NewBatchAnalyzer(c.geom)
-	const chunk = 64
-	hits := make([]int64, chunk)
-	misses := make([]int64, chunk)
-	for i := 0; i < len(c.starts); i += chunk {
-		j := min(i+chunk, len(c.starts))
-		thetas := c.starts[i:j]
-		b.GuaranteedHitsBatch(c.s, c.lat, thetas, c.wcl, hits[:len(thetas)], misses[:len(thetas)])
-		for k := range thetas {
-			if hits[k] != c.hits[i+k] || misses[k] != c.misses[i+k] {
-				panic(fmt.Sprintf("analysis: hit-curve verification failed at θ=%d: curve (%d,%d) vs batch (%d,%d)",
-					thetas[k], c.hits[i+k], c.misses[i+k], hits[k], misses[k]))
-			}
+	for i, th := range c.starts {
+		h, m := GuaranteedHits(c.s, c.geom, c.lat, th, c.wcl)
+		if h != c.hits[i] || m != c.misses[i] {
+			panic(fmt.Sprintf("analysis: hit-curve verification failed at θ=%d: curve (%d,%d) vs GuaranteedHits (%d,%d)",
+				th, c.hits[i], c.misses[i], h, m))
 		}
 	}
 }

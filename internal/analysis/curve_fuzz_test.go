@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"cohort/internal/config"
-	"cohort/internal/trace"
 )
 
 // FuzzCurveVsScalar builds a hit curve over a random trace prefix and
 // asserts it answers a fuzzer-chosen θ grid exactly like the scalar
-// GuaranteedHits. The encoding mirrors FuzzBatchVsScalar — geometry byte,
-// grid width byte, θ bytes across every timer class, then three bytes per
-// access — so the same corpus shapes exercise both differential harnesses.
+// GuaranteedHits. The input encoding is FuzzBatchVsScalar's (decodeFuzzInput),
+// so the same corpus shapes exercise both differential harnesses.
 // On top of the fuzzed grid, every constructed segment boundary and its
 // neighbors are checked: those are exactly the points a wrong sweep would
 // misplace.
@@ -24,40 +22,9 @@ func FuzzCurveVsScalar(f *testing.F) {
 	f.Add([]byte{0, 2, 9, 9, 64, 0, 0, 64, 1, 0, 64, 0, 0})
 	f.Add([]byte{2, 4, 254, 253, 7, 255, 1, 1, 200, 1, 0, 3, 65, 1, 90, 1, 0, 250})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		geom, thetas, s, ok := decodeFuzzInput(data)
+		if !ok {
 			return
-		}
-		geom := batchGeoms[int(data[0])%len(batchGeoms)]
-		width := int(data[1])%8 + 1
-		if len(data) < 2+width {
-			return
-		}
-		thetas := make([]config.Timer, width)
-		for i := 0; i < width; i++ {
-			// Map a byte across the timer classes: −1, 0, 1..251, and the max.
-			switch v := data[2+i]; {
-			case v == 255:
-				thetas[i] = config.TimerMax
-			case v == 254:
-				thetas[i] = config.TimerMSI
-			case v == 253:
-				thetas[i] = config.TimerNoCache
-			default:
-				thetas[i] = config.Timer(v)
-			}
-		}
-		var s trace.Stream
-		for p := 2 + width; p+2 < len(data) && len(s) < 512; p += 3 {
-			k := trace.Read
-			if data[p+1]&1 == 1 {
-				k = trace.Write
-			}
-			s = append(s, trace.Access{
-				// Spread addresses over several sets and force aliasing.
-				Addr: uint64(data[p])*64 + uint64(data[p+1]&0xf0)*4096,
-				Kind: k,
-				Gap:  int64(data[p+2]),
-			})
 		}
 		lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
 		wcl := lat.SlotWidth()

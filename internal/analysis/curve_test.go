@@ -117,7 +117,7 @@ func TestHitCurveIncompleteFallback(t *testing.T) {
 }
 
 // TestHitCurveVerifyFailsClosed corrupts a constructed curve and proves the
-// BatchAnalyzer-backed verification panics — the construction check cannot
+// GuaranteedHits-backed verification panics — the construction check cannot
 // silently accept a wrong segment.
 func TestHitCurveVerifyFailsClosed(t *testing.T) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
@@ -134,6 +134,23 @@ func TestHitCurveVerifyFailsClosed(t *testing.T) {
 		}
 	}()
 	hc.verify()
+}
+
+// TestHitCurveRefusesFaultyCompile proves construction is certified by code
+// that does not share its compile step: with one resident bit dropped at
+// compile time, every sweep runs on a wrong replay, and verification against
+// GuaranteedHits must refuse the curve.
+func TestHitCurveRefusesFaultyCompile(t *testing.T) {
+	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
+	s := batchStream("fft", 1, t)
+	TestHooks.CompileDropResident = true
+	defer func() { TestHooks.CompileDropResident = false }()
+	defer func() {
+		if recover() == nil {
+			t.Error("hit curve built on a faulty compile passed verification")
+		}
+	}()
+	NewIsolationHitCurve(s, batchGeoms[0], lat)
 }
 
 // TestHitCurveBreakpointSkewHook proves the seeded-fault hook works as the
@@ -223,13 +240,12 @@ func BenchmarkHitCurveBuild(b *testing.B) {
 }
 
 // BenchmarkIsolationHitsCurve is the query-path twin of
-// BenchmarkIsolationHitsScalar/Batch: the same 16 timers answered from the
-// prebuilt index.
+// BenchmarkIsolationHitsScalar/Batch: the same stream and 16 timers
+// answered from the prebuilt index.
 func BenchmarkIsolationHitsCurve(b *testing.B) {
 	lat := config.Latencies{Hit: 1, Req: 4, Data: 50}
 	geom := batchGeoms[0]
-	p, _ := trace.ProfileByName("fft")
-	s := p.Scaled(0.01).Generate(2, 64, 21).Streams[0]
+	s := fig5aStream(b)
 	thetas := benchThetas(16)
 	hc := NewIsolationHitCurve(s, geom, lat)
 	var sink int64

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -134,6 +135,34 @@ func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
 			log.Errorf("%s: memprofile: %v", c.Tool, err)
 		}
 	}, nil
+}
+
+// CheckSizing validates the trace-sizing flags a tool registered on fs, so
+// a bad value is an error naming the flag rather than a panic in trace
+// generation or a silently floored one-access-per-core trace: -scale must
+// be positive and finite, -cores and -line at least 1, and -cap at least 0
+// (0 = no cap). Flags fs does not define are skipped. Call it after Parse.
+func CheckSizing(fs *flag.FlagSet) error {
+	checks := []struct {
+		name string
+		bad  func(v any) bool
+		want string
+	}{
+		{"scale", func(v any) bool { x := v.(float64); return !(x > 0) || math.IsInf(x, 0) }, "positive and finite"},
+		{"cores", func(v any) bool { return v.(int) < 1 }, "at least 1"},
+		{"line", func(v any) bool { return v.(int) < 1 }, "at least 1"},
+		{"cap", func(v any) bool { return v.(int) < 0 }, "at least 0 (0 = no cap)"},
+	}
+	for _, c := range checks {
+		f := fs.Lookup(c.name)
+		if f == nil {
+			continue
+		}
+		if c.bad(f.Value.(flag.Getter).Get()) {
+			return fmt.Errorf("invalid -%s %s: must be %s", c.name, f.Value, c.want)
+		}
+	}
+	return nil
 }
 
 // Fatal prints a tool-prefixed error to stderr and exits 1 — the shared

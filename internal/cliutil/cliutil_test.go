@@ -277,3 +277,51 @@ func TestStartProfilesErrors(t *testing.T) {
 	}
 	stop()
 }
+
+// TestCheckSizing pins the shared sizing check every CLI runs after Parse:
+// each bad value is an error naming its flag, good values pass, and flags a
+// tool does not register are skipped.
+func TestCheckSizing(t *testing.T) {
+	newFS := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Float64("scale", 0.05, "")
+		fs.Int("cores", 4, "")
+		fs.Int("line", 64, "")
+		fs.Int("cap", 4000, "")
+		return fs
+	}
+	for _, tc := range []struct {
+		args []string
+		flag string // "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-scale", "1", "-cores", "1", "-line", "1", "-cap", "0"}, ""},
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-scale", "-1"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-scale", "+Inf"}, "-scale"},
+		{[]string{"-cores", "0"}, "-cores"},
+		{[]string{"-cores", "-3"}, "-cores"},
+		{[]string{"-line", "0"}, "-line"},
+		{[]string{"-cap", "-5"}, "-cap"},
+	} {
+		fs := newFS()
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: parse: %v", tc.args, err)
+		}
+		err := CheckSizing(fs)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%v rejected: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("%v accepted", tc.args)
+		case tc.flag != "" && !strings.Contains(err.Error(), "invalid "+tc.flag+" "):
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+	// A tool without sizing flags has nothing to check.
+	if err := CheckSizing(flag.NewFlagSet("bare", flag.ContinueOnError)); err != nil {
+		t.Errorf("bare flag set: %v", err)
+	}
+}

@@ -11,7 +11,8 @@ import (
 // BenchmarkOptimize measures the GA on the default problem shape from the
 // acceptance criterion (population 20 × 16 generations) across worker counts
 // and oracle tiers. The default cells run the batched per-core memo — one
-// SoA walk per fresh timer chunk plus a run-lifetime per-core memo — and
+// θ-column kernel unit per fresh timer chunk on each core's compiled
+// stream, plus a run-lifetime per-core memo — and
 // the curve cells replace every fresh stream walk with an O(log k) index
 // query. On a multi-core machine -j 4 should come in at ≥2× over -j 1; on a
 // single-CPU host the worker pool degrades to ~1× with bounded overhead.

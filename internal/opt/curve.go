@@ -160,5 +160,6 @@ func (e *evaluator) installCurves() {
 		e.curves[timed[g]] = curves[g]
 	}
 	e.coreMemo = nil
+	e.streams = nil
 	e.progress.AddLanes(int64(len(timed)))
 }

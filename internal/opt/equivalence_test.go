@@ -92,34 +92,33 @@ func sweepMismatch(t *testing.T, p *Problem) bool {
 	t.Helper()
 	eagerCurves(t)
 	ResetCurveCache()
-	var want []Evaluation
-	differs := false
-	for _, curve := range []bool{false, true} {
-		e := newEvaluator(p, 4, curve, false, nil)
-		if curve != (e.curves != nil) {
-			t.Fatalf("curve %v: evaluator installed curves %v", curve, e.curves != nil)
-		}
-		thetaIS := e.thetaIS()
-		var top config.Timer
-		for _, th := range thetaIS {
-			top = max(top, th)
-		}
-		genomes := make([][]config.Timer, top)
-		for k := range genomes {
-			genes := make([]config.Timer, len(thetaIS))
-			for g := range genes {
-				genes[g] = min(config.Timer(k+1), thetaIS[g])
-			}
-			genomes[k] = genes
-		}
-		if want == nil {
-			want = referenceEvals(p, genomes)
-		}
-		if !reflect.DeepEqual(e.batch(genomes), want) {
-			differs = true
-		}
+	memo := sourceSweepDiffers(t, p, false)
+	return sourceSweepDiffers(t, p, true) || memo
+}
+
+// sourceSweepDiffers is sweepMismatch on one hit source: curve selects
+// eagerly installed curves (the caller arranges eagerCurves), otherwise the
+// batched memo.
+func sourceSweepDiffers(t *testing.T, p *Problem, curve bool) bool {
+	t.Helper()
+	e := newEvaluator(p, 4, curve, false, nil)
+	if curve != (e.curves != nil) {
+		t.Fatalf("curve %v: evaluator installed curves %v", curve, e.curves != nil)
 	}
-	return differs
+	thetaIS := e.thetaIS()
+	var top config.Timer
+	for _, th := range thetaIS {
+		top = max(top, th)
+	}
+	genomes := make([][]config.Timer, top)
+	for k := range genomes {
+		genes := make([]config.Timer, len(thetaIS))
+		for g := range genes {
+			genes[g] = min(config.Timer(k+1), thetaIS[g])
+		}
+		genomes[k] = genes
+	}
+	return !reflect.DeepEqual(e.batch(genomes), referenceEvals(p, genomes))
 }
 
 // compareOracles runs one engine configuration on each hit source — the
@@ -242,10 +241,12 @@ func TestBatchedOracleWorkersCross(t *testing.T) {
 // TestBatchedOracleAnalyzerReuse pins the batched memo's allocation: one
 // fig5a-sized Optimize (fft at scale 0.05 capped to 4000 accesses, four
 // timed cores, population 20 × 16 generations) must allocate no more than a
-// base plus one BatchAnalyzer per concurrently running job. Each analyzer
-// carries a ~140 KB slab (256 sets × 17 saturation-grid columns × 32 B); an
-// evaluator that built one per oracle unit allocated ~2.7 MB here at every
-// worker count. The Results must be DeepEqual across Workers {1, 4, 8}.
+// base plus one per-job allowance for each concurrently running job. The
+// base now holds the four compiled streams (8 B per access); each job's
+// kernel Scratch is 8 KB, far inside its allowance, which was sized for the
+// ~140 KB slab of the kernel this one replaced — an evaluator that built
+// one per oracle unit allocated ~2.7 MB here. The Results must be DeepEqual
+// across Workers {1, 4, 8}.
 func TestBatchedOracleAnalyzerReuse(t *testing.T) {
 	prof, err := trace.ProfileByName("fft")
 	if err != nil {
@@ -264,9 +265,9 @@ func TestBatchedOracleAnalyzerReuse(t *testing.T) {
 	gc.Pop, gc.Generations = 20, 16
 	gc.OracleCurve = false // the batched-memo path
 
-	// Measured: ~500 KB at Workers 1, one analyzer included. At most
-	// min(Workers, timed cores) jobs run at once, so no more analyzers
-	// than that may exist.
+	// Measured: ~400 KB at Workers 1, compiled streams and one Scratch
+	// included. At most min(Workers, timed cores) jobs run at once, so no
+	// more scratches than that may exist.
 	const base, perAnalyzer = 400 << 10, 160 << 10
 	var ref *Result
 	for _, w := range []int{1, 4, 8} {
@@ -281,7 +282,7 @@ func TestBatchedOracleAnalyzerReuse(t *testing.T) {
 		bytes := after.TotalAlloc - before.TotalAlloc
 		ceiling := uint64(base + min(w, len(timed))*perAnalyzer)
 		if bytes > ceiling {
-			t.Errorf("workers %d: Optimize allocated %d bytes, ceiling %d — the evaluator is building an analyzer per oracle unit", w, bytes, ceiling)
+			t.Errorf("workers %d: Optimize allocated %d bytes, ceiling %d — the evaluator is building kernel state per oracle unit", w, bytes, ceiling)
 		}
 		t.Logf("workers %d: %d bytes (ceiling %d)", w, bytes, ceiling)
 		if ref == nil {
@@ -313,6 +314,38 @@ func TestBatchedOracleFailsClosed(t *testing.T) {
 	if !resultsDiffer {
 		t.Error("seeded batched-memo fault not detected: skewed Result equals the curve Result")
 	}
+}
+
+// TestCompiledStreamFaultFailsClosed proves the equivalence checks see a
+// fault in the compile step the batched memo runs on: with one resident bit
+// dropped (analysis.TestHooks.CompileDropResident), the memo's sweep and the
+// optimizer's reported Eval must differ from Problem.Evaluate, and the curve
+// oracle must refuse to install — its construction is verified against
+// GuaranteedHits, which shares nothing with the compile step.
+func TestCompiledStreamFaultFailsClosed(t *testing.T) {
+	p := problemFor("fft", 0.01, []bool{true, true, true, true})
+	analysis.TestHooks.CompileDropResident = true
+	defer func() { analysis.TestHooks.CompileDropResident = false }()
+	if !sourceSweepDiffers(t, p, false) {
+		t.Error("seeded compile fault not detected: memo batches equal Problem.Evaluate")
+	}
+	gc := DefaultGA(42)
+	gc.Pop, gc.Generations, gc.OracleCurve = 10, 6, false
+	res, err := Optimize(p, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(res.Eval, p.Evaluate(res.Timers)) {
+		t.Error("seeded compile fault not detected: Result.Eval equals Problem.Evaluate")
+	}
+	eagerCurves(t)
+	ResetCurveCache()
+	defer func() {
+		if recover() == nil {
+			t.Error("seeded compile fault not detected: curves installed")
+		}
+	}()
+	newEvaluator(p, 1, true, false, nil)
 }
 
 // TestOptimizeMemoCountersDeterministic pins the engine counters themselves:

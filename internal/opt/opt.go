@@ -273,13 +273,15 @@ func fitness(ev *Evaluation) float64 {
 // Fresh genomes are answered by exactly one of two exact hit sources, chosen
 // here rather than by the caller:
 //
-//   - The batched memo (the default). The isolation analysis is memoized per
-//     (core, θ) for the lifetime of the run, and fresh pairs are computed
-//     through analysis.BatchAnalyzer in SoA walks of up to oracleBatchWidth
-//     columns. Distinct genomes routinely share genes — elites mutate one
-//     coordinate, hill-climb neighborhoods vary one gene at a time — so the
-//     per-core memo turns the oracle's cost from (distinct genomes × cores)
-//     stream walks into (distinct (core, θ) pairs ÷ width) walks.
+//   - The batched memo (the default). Each timed core's stream is compiled
+//     once (analysis.Compile: the θ-independent cache replay), the isolation
+//     analysis is memoized per (core, θ) for the lifetime of the run, and
+//     fresh pairs are computed by the θ-column kernel in units of up to
+//     oracleBatchWidth columns. Distinct genomes routinely share genes —
+//     elites mutate one coordinate, hill-climb neighborhoods vary one gene
+//     at a time — so the per-core memo turns the oracle's cost from
+//     (distinct genomes × cores) full cache walks into one kernel column
+//     per distinct (core, θ) pair.
 //   - Hit curves (with curve set). One analysis.HitCurve per timed core —
 //     served from a process-wide content-addressed cache, so repeated runs
 //     over the same streams skip construction entirely — answers every
@@ -321,14 +323,19 @@ type evaluator struct {
 	// order by prefill and the batched saturation sweep. Nil once curves are
 	// installed: the index answers every query from then on.
 	coreMemo []map[config.Timer][2]int64
-	// analyzers is the free list of batched-analysis scratch. prefill units
-	// and the saturation sweep take one and hand it back, so at most one
-	// analyzer (and its ~140 KB slab) exists per concurrently running job,
-	// and every later unit reuses it. BatchAnalyzer re-zeroes its state on
-	// every call, so reuse is invisible in the results. The analyzers die
-	// with the evaluator, at the end of the Optimize or HillClimb call. The
-	// buffer holds one slot per worker, the most analyzers that can exist.
-	analyzers chan *analysis.BatchAnalyzer
+	// streams[i] is timed core i's compiled stream (nil for untimed cores),
+	// built once per evaluator for the batched memo. Nil once curves are
+	// installed.
+	streams []*analysis.Compiled
+	// scratch is the free list of kernel column state. prefill units and the
+	// saturation sweep take one and hand it back, so at most one Scratch
+	// (slots × 4 lanes × 8 B: 8 KB for the paper's L1) exists per
+	// concurrently running job, and every later unit reuses it. The kernel
+	// never reads state it did not write in the same pass, so reuse is
+	// invisible in the results. The buffer holds one slot per worker, the
+	// most scratches that can exist; they die with the evaluator, at the end
+	// of the Optimize or HillClimb call.
+	scratch chan *analysis.Scratch
 	// computed counts oracle evaluations actually performed (cache misses
 	// deduped within each batch).
 	computed int
@@ -338,11 +345,10 @@ type evaluator struct {
 	progress *obs.RunHandle
 }
 
-// oracleBatchWidth is the column count of one batched-analysis SoA walk.
-// Results are identical for every width; 16 is the measured sweet spot on
-// the paper-scale fig5a and table2 runs, wide enough to amortize the stream
-// walk and narrow enough to keep a generation's fresh θ spread over several
-// workers.
+// oracleBatchWidth is the most columns one oracle unit carries. The kernel
+// runs a unit as 4-lane passes plus a short remainder, so the width no
+// longer amortizes a walk; it only sets how a generation's fresh θ spread
+// over workers. Results are identical for every width.
 const oracleBatchWidth = 16
 
 func newEvaluator(p *Problem, workers int, curve, surrogate bool, progress *obs.RunHandle) *evaluator {
@@ -352,7 +358,7 @@ func newEvaluator(p *Problem, workers int, curve, surrogate bool, progress *obs.
 		workers:   workers,
 		curve:     curve,
 		evalCache: make(map[string]Evaluation, 256),
-		analyzers: make(chan *analysis.BatchAnalyzer, parallel.DefaultWorkers(workers)),
+		scratch:   make(chan *analysis.Scratch, parallel.DefaultWorkers(workers)),
 		progress:  progress,
 	}
 	if curve && (surrogate || curveBuildBudget <= 0 || curvesWarm(p)) {
@@ -362,6 +368,14 @@ func newEvaluator(p *Problem, workers int, curve, surrogate bool, progress *obs.
 	e.coreMemo = make([]map[config.Timer][2]int64, len(p.Streams))
 	for i := range e.coreMemo {
 		e.coreMemo[i] = make(map[config.Timer][2]int64, 256)
+	}
+	timed := p.timedCores()
+	compiled := parallel.Map(workers, len(timed), func(g int) *analysis.Compiled {
+		return analysis.Compile(p.Streams[timed[g]], p.L1)
+	})
+	e.streams = make([]*analysis.Compiled, len(p.Streams))
+	for g, i := range timed {
+		e.streams[i] = compiled[g]
 	}
 	return e
 }
@@ -376,25 +390,24 @@ func (e *evaluator) engineStats() stats.EngineStats {
 	}
 }
 
-// analyzer takes a free batched analyzer off the evaluator's list, building
-// one only when every existing analyzer is held by a running job. Hand it
-// back with release.
-func (e *evaluator) analyzer() *analysis.BatchAnalyzer {
+// takeScratch takes free kernel state off the evaluator's list, making one
+// only when every existing Scratch is held by a running job. Hand it back
+// with release.
+func (e *evaluator) takeScratch() *analysis.Scratch {
 	select {
-	case ba := <-e.analyzers:
-		return ba
+	case sc := <-e.scratch:
+		return sc
 	default:
-		return analysis.NewBatchAnalyzer(e.p.L1)
+		return new(analysis.Scratch)
 	}
 }
 
-// release returns an analyzer to the free list. No more analyzers exist
-// than jobs ever ran at once, at most one per worker, so the send never
-// blocks.
-func (e *evaluator) release(ba *analysis.BatchAnalyzer) { e.analyzers <- ba }
+// release returns a Scratch to the free list. No more exist than jobs ever
+// ran at once, at most one per worker, so the send never blocks.
+func (e *evaluator) release(sc *analysis.Scratch) { e.scratch <- sc }
 
-// oracleUnit is one batched-analysis job: a contiguous chunk of fresh timers
-// for one core, at most oracleBatchWidth wide.
+// oracleUnit is one kernel job: a contiguous chunk of fresh timers for one
+// core, at most oracleBatchWidth wide.
 type oracleUnit struct {
 	core   int
 	thetas []config.Timer
@@ -402,7 +415,7 @@ type oracleUnit struct {
 
 // prefill runs the isolation analysis for every (core, θ) pair the genomes
 // need that the per-core memo does not yet hold. Fresh pairs are collected
-// in submission order, chunked per core into SoA walks of up to
+// in submission order, chunked per core into units of up to
 // oracleBatchWidth columns, fanned across workers, and merged back serially
 // — so the memo content is a pure function of the genome sequence,
 // identical for every worker count.
@@ -444,9 +457,9 @@ func (e *evaluator) prefill(genomes [][]config.Timer) {
 			hits:   make([]int64, len(units[u].thetas)),
 			misses: make([]int64, len(units[u].thetas)),
 		}
-		ba := e.analyzer()
-		ba.IsolationHitsBatch(e.p.Streams[units[u].core], e.p.Lat, units[u].thetas, r.hits, r.misses)
-		e.release(ba)
+		sc := e.takeScratch()
+		e.streams[units[u].core].IsolationHitsBatch(sc, e.p.Lat, units[u].thetas, r.hits, r.misses)
+		e.release(sc)
 		return r
 	})
 	for u := range units {
@@ -553,8 +566,8 @@ func (e *evaluator) batch(genomes [][]config.Timer) []Evaluation {
 // thetaIS computes the per-gene saturation timers θ_is (§V) on the
 // evaluator's hit source, bit-identical to analysis.SaturationTimer per
 // core. Installed curves answer the shared saturation sweep in O(log k) per
-// probe. Otherwise each timed core's doubling grid runs in one SoA stream
-// walk, fanned across workers, and every (θ → hits, misses) sample the sweep
+// probe. Otherwise each timed core's sweep runs on its compiled stream,
+// fanned across workers, and every (θ → hits, misses) sample the sweep
 // produced seeds the per-core memo — so the boundary individuals of the
 // initial population (all-ones, all-θ_is) evaluate without re-running the
 // analysis.
@@ -572,9 +585,9 @@ func (e *evaluator) thetaIS() []config.Timer {
 		samples []analysis.TimerSample
 	}
 	results := parallel.Map(e.workers, len(timed), func(g int) satResult {
-		ba := e.analyzer()
-		th, _, samples := ba.SaturationTimer(e.p.Streams[timed[g]], e.p.Lat)
-		e.release(ba)
+		sc := e.takeScratch()
+		th, _, samples := e.streams[timed[g]].SaturationTimer(sc, e.p.Lat)
+		e.release(sc)
 		return satResult{theta: th, samples: samples}
 	})
 	for g, i := range timed {
