@@ -18,6 +18,12 @@ import (
 //   - Bytes: ~97 KiB. A perfect LLC builds no array; when it still built
 //     its unused 2 MiB, 8-way one, construction alone cost ~1.4 MB, so the
 //     guard trips if a large structure the run never reads comes back.
+//
+// The observed case adds two latency samplers and a governor on a short
+// window, so sampler ticks and governor samples are ~2,450 of the run's
+// events. Their typed events allocate nothing; only the sample series and
+// the decision log grow (~330 allocs, ~257 KiB). When each tick still
+// scheduled closures, the same run took ~5,200 allocs.
 func TestAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates allocation counts")
@@ -32,34 +38,52 @@ func TestAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		ceiling     = 400
-		byteCeiling = 120 << 10
-		runs        = 10
+		ceiling = 400
+		runs    = 10
 	)
-	run := func() {
-		sys, err := cohort.NewSystem(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(runs, run)
-	if allocs > ceiling {
-		t.Fatalf("simulation allocated %.0f times per run, ceiling %d — a hot path regressed to per-event allocation", allocs, ceiling)
-	}
-	t.Logf("allocs per construct+run: %.0f (ceiling %d)", allocs, ceiling)
+	for _, tc := range []struct {
+		name        string
+		observe     func(*cohort.System) error
+		byteCeiling uint64
+	}{
+		{"plain", func(*cohort.System) error { return nil }, 120 << 10},
+		{"sampled+governed", func(sys *cohort.System) error {
+			if err := sys.SampleLatencyCores(50, 0, 1); err != nil {
+				return err
+			}
+			return sys.SetGovernor(cohort.Governor{Core: 0, Window: 50, Budget: 1 << 40})
+		}, 320 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() {
+				sys, err := cohort.NewSystem(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.observe(sys); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(runs, run)
+			if allocs > ceiling {
+				t.Fatalf("simulation allocated %.0f times per run, ceiling %d — a hot path regressed to per-event allocation", allocs, ceiling)
+			}
+			t.Logf("allocs per construct+run: %.0f (ceiling %d)", allocs, ceiling)
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+			if bytes > tc.byteCeiling {
+				t.Fatalf("simulation allocated %d bytes per construct+run, ceiling %d — construction is building state the run never reads", bytes, tc.byteCeiling)
+			}
+			t.Logf("bytes per construct+run: %d (ceiling %d)", bytes, tc.byteCeiling)
+		})
 	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	if bytes > byteCeiling {
-		t.Fatalf("simulation allocated %d bytes per construct+run, ceiling %d — construction is building state the run never reads", bytes, byteCeiling)
-	}
-	t.Logf("bytes per construct+run: %d (ceiling %d)", bytes, byteCeiling)
 }

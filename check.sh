@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh runs the same gate as CI (.github/workflows/ci.yml) locally:
-# build, go vet, gofmt, the determinism lint suite, the test suite, and the
-# race-detector pass over the simulator packages.
+# build, go vet, gofmt, the determinism lint suite, the test suite, the
+# benchmark module's vet and tests, and the race-detector pass over the
+# simulator packages.
 set -eu
 cd "$(dirname "$0")"
 
@@ -31,6 +32,9 @@ go test -run TestConcurrencyMutants ./internal/lint
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+echo "==> perfbench module (go vet + go test; it builds against this module's API)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> go test -race -shuffle=on ./internal/..."
 go test -race -shuffle=on ./internal/...

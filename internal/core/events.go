@@ -7,12 +7,10 @@ import (
 	"cohort/internal/sim"
 )
 
-// Typed event kinds dispatched through the System jump table. The simulator
-// hot path schedules these as plain data (kind + receiver + payload words)
-// instead of closures: scheduling a typed event performs zero allocations,
-// where the closure path allocated a capture record per callback. Cold paths
-// (governor, latency sampler, test scaffolding) keep the Schedule-closure
-// escape hatch.
+// Typed event kinds dispatched through the System jump table. Every event the
+// simulator schedules — hot path and opt-in observers alike — is plain data
+// (kind + receiver + payload words), so scheduling one performs zero
+// allocations.
 const (
 	// evCoreWake resumes core recv's issue loop (dedup through coreState.wakeAt).
 	evCoreWake sim.Kind = iota
@@ -30,6 +28,11 @@ const (
 	evSharerInval
 	// evModeSwitch applies a scheduled mode switch; p0 carries the mode.
 	evModeSwitch
+	// evSamplerTick records one latency sample; recv indexes s.samplers
+	// (fixed once Run starts).
+	evSamplerTick
+	// evGovernorSample evaluates one governor window.
+	evGovernorSample
 )
 
 // timerRec is the pooled record behind a scheduled owner-release or
@@ -65,8 +68,7 @@ func (s *System) freeTimerRec(i int32) {
 }
 
 // atEvent schedules a typed event at an absolute cycle; scheduling in the
-// past is a simulator bug, so it panics rather than returning an error
-// (mirrors System.at for closures).
+// past is a simulator bug, so it panics rather than returning an error.
 func (s *System) atEvent(cycle int64, kind sim.Kind, recv int32, p0, p1 uint64) {
 	if err := s.eng.ScheduleKindAt(sim.Cycle(cycle), kind, recv, p0, p1); err != nil {
 		panic(err)
@@ -74,9 +76,8 @@ func (s *System) atEvent(cycle int64, kind sim.Kind, recv int32, p0, p1 uint64) 
 }
 
 // HandleEvent is the per-system jump table: it implements sim.Handler and
-// routes each typed event to the same logic the closure path used to invoke,
-// preserving the exact (at, seq) firing order and therefore bit-identical
-// results.
+// routes each typed event to its handler. It is the only code the engine
+// runs, so the (at, seq) order of the queue is the order of every effect.
 //
 //cohort:hotpath
 func (s *System) HandleEvent(now sim.Cycle, kind sim.Kind, recv int32, p0, _ uint64) {
@@ -106,6 +107,10 @@ func (s *System) HandleEvent(now sim.Cycle, kind sim.Kind, recv int32, p0, _ uin
 		s.firedSharerInval(int32(p0), n)
 	case evModeSwitch:
 		s.applyModeSwitch(n, int(p0))
+	case evSamplerTick:
+		s.samplerTick(recv, n)
+	case evGovernorSample:
+		s.governorSample(n)
 	default:
 		panic(fmt.Sprintf("core: unknown event kind %d", kind))
 	}

@@ -73,10 +73,16 @@ func (s *System) startGovernor() {
 	if s.governor == nil {
 		return
 	}
-	s.at(s.governor.Window, s.governorSample)
+	s.atEvent(s.governor.Window, evGovernorSample, 0, 0, 0)
 }
 
 // governorSample evaluates one window and escalates if over budget.
+//
+// The governor is opt-in control machinery: its log grows by append and an
+// escalation runs applyModeSwitch, so the subtree is exempt from the
+// hot-path allocation contract.
+//
+//cohort:hotpath exempt
 func (s *System) governorSample(now int64) {
 	g := s.governor
 	mon := &s.run.Cores[g.Core]
@@ -91,6 +97,6 @@ func (s *System) governorSample(now int64) {
 	s.governorLog = append(s.governorLog, dec)
 	// Keep sampling while the monitored core is still working.
 	if !s.cores[g.Core].finished {
-		s.at(now+g.Window, s.governorSample)
+		s.atEvent(now+g.Window, evGovernorSample, 0, 0, 0)
 	}
 }

@@ -104,14 +104,21 @@ func (s *System) SampledCores() []int {
 
 // startSampler schedules the first sample of every sampler; called from Run.
 func (s *System) startSampler() {
-	for _, sm := range s.samplers {
-		sm := sm
-		s.at(sm.window, func(now int64) { s.samplerTick(sm, now) })
+	for i, sm := range s.samplers {
+		s.atEvent(sm.window, evSamplerTick, int32(i), 0, 0)
 	}
 }
 
-// samplerTick records one point and reschedules while the core is active.
-func (s *System) samplerTick(sm *latencySampler, now int64) {
+// samplerTick records one point for sampler i and reschedules while the
+// core is active.
+//
+// Sampling is opt-in observation, not steady-state traffic: the series
+// grows by append, so the subtree is exempt from the hot-path allocation
+// contract (TestAllocationCeiling bounds an observed run's total).
+//
+//cohort:hotpath exempt
+func (s *System) samplerTick(i int32, now int64) {
+	sm := s.samplers[i]
 	cum := s.run.Cores[sm.core].TotalLatency
 	prev := int64(0)
 	if n := len(sm.samples); n > 0 {
@@ -128,6 +135,6 @@ func (s *System) samplerTick(sm *latencySampler, now int64) {
 		s.rec.Count(obs.PidSim, simTidCore(sm.core), "window latency", now, cum-prev)
 	}
 	if !s.cores[sm.core].finished {
-		s.at(now+sm.window, func(n int64) { s.samplerTick(sm, n) })
+		s.atEvent(now+sm.window, evSamplerTick, i, 0, 0)
 	}
 }

@@ -125,14 +125,6 @@ type scheduledSwitch struct {
 // New builds a system from a validated configuration and a workload trace
 // with one stream per core.
 func New(cfg *config.System, tr *trace.Trace) (*System, error) {
-	return newOn(sim.New(), cfg, tr)
-}
-
-// newOn builds a system on an existing engine. The engine must be fresh or
-// freshly Reset — newOn installs the system as the typed-event handler and
-// assumes cycle 0. RunBatch uses this to reuse one engine's queue backing
-// across a fleet of configurations.
-func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,7 +153,7 @@ func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error
 
 	s := &System{
 		cfg:         cfg,
-		eng:         eng,
+		eng:         sim.New(),
 		arb:         arb,
 		llc:         memctrl.New(cfg.LLC, cfg.PerfectLLC, cfg.Lat.DRAM),
 		dir:         coherence.NewDirectory(),
@@ -197,14 +189,6 @@ func newOn(eng *sim.Engine, cfg *config.System, tr *trace.Trace) (*System, error
 		s.inv = invariant.NewChecker(s)
 	}
 	return s, nil
-}
-
-// at schedules fn at an absolute cycle; scheduling in the past is a
-// simulator bug, so it panics rather than returning an error.
-func (s *System) at(cycle int64, fn func(now int64)) {
-	if err := s.eng.ScheduleAt(sim.Cycle(cycle), func(now sim.Cycle) { fn(int64(now)) }); err != nil {
-		panic(err)
-	}
 }
 
 // Mode returns the current operating mode.

@@ -7,99 +7,90 @@ import (
 )
 
 // EventGoroutineAnalyzer flags goroutine spawns and channel operations inside
-// event callbacks scheduled on the sim.Engine. The engine is single-threaded
-// by design: events run in (cycle, insertion seq) order, and that total order
-// is the determinism guarantee. A goroutine forked from a callback races with
-// the event loop, and a channel handoff makes event effects depend on the Go
-// scheduler — both reintroduce exactly the nondeterminism the engine exists
-// to remove.
+// the event dispatch of the sim.Engine. Every event is typed, so the only
+// code the engine runs is a sim.Handler's HandleEvent method. The engine is
+// single-threaded by design: events run in (cycle, insertion seq) order, and
+// that total order is the determinism guarantee. A goroutine forked from a
+// handler races with the event loop, and a channel handoff makes event
+// effects depend on the Go scheduler — both reintroduce exactly the
+// nondeterminism the engine exists to remove.
 var EventGoroutineAnalyzer = &Analyzer{
 	Name: "eventgoroutine",
-	Doc: "forbid goroutine spawns and channel operations inside callbacks " +
-		"scheduled on the sim.Engine (the event loop is single-threaded by contract)",
+	Doc: "forbid goroutine spawns and channel operations inside HandleEvent " +
+		"methods that satisfy sim.Handler (the event loop is single-threaded by contract)",
 	Run: runEventGoroutine,
 }
 
-// schedulerFuncs identifies functions whose final argument is executed as a
-// sim event callback: the engine's own entry points plus core.System.at,
-// the simulator-side wrapper every core component schedules through.
-func isSchedulerFunc(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
+// simHandler returns the sim.Handler interface when pkg imports the sim
+// package directly, else nil: a method can only satisfy sim.Handler by
+// naming sim.Cycle and sim.Kind in its signature.
+func simHandler(pkg *types.Package) *types.Interface {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() != "cohort/internal/sim" {
+			continue
+		}
+		if obj, ok := imp.Scope().Lookup("Handler").(*types.TypeName); ok {
+			iface, _ := obj.Type().Underlying().(*types.Interface)
+			return iface
+		}
 	}
-	recv := sig.Recv().Type()
-	ptr, ok := recv.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	pkg, typ := named.Obj().Pkg().Path(), named.Obj().Name()
-	switch {
-	case pkg == "cohort/internal/sim" && typ == "Engine":
-		return fn.Name() == "Schedule" || fn.Name() == "ScheduleAt"
-	case pkg == "cohort/internal/core" && typ == "System":
-		return fn.Name() == "at"
-	}
-	return false
+	return nil
 }
 
 func runEventGoroutine(pass *Pass) error {
+	iface := simHandler(pass.Pkg)
+	if iface == nil {
+		return nil
+	}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "HandleEvent" {
+				continue
 			}
-			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || !isSchedulerFunc(fn) {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
+			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if !ok {
-				return true
+				continue
 			}
-			checkEventBody(pass, lit.Body)
-			return true
-		})
+			if recv := fn.Type().(*types.Signature).Recv(); types.Implements(recv.Type(), iface) {
+				checkEventBody(pass, fd.Body)
+			}
+		}
 	}
 	return nil
 }
 
 // checkEventBody reports concurrency constructs anywhere under an event
-// callback body, including nested function literals (they run, or escape,
+// handler body, including nested function literals (they run, or escape,
 // from inside the event).
 func checkEventBody(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt:
-			pass.Reportf(x.Pos(), "goroutine spawned inside a sim.Engine event callback; "+
+			pass.Reportf(x.Pos(), "goroutine spawned inside a sim.Handler event dispatch; "+
 				"the event loop is single-threaded — schedule another event instead")
 		case *ast.SendStmt:
-			pass.Reportf(x.Pos(), "channel send inside a sim.Engine event callback; "+
+			pass.Reportf(x.Pos(), "channel send inside a sim.Handler event dispatch; "+
 				"event effects must not depend on the Go scheduler")
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				pass.Reportf(x.Pos(), "channel receive inside a sim.Engine event callback; "+
+				pass.Reportf(x.Pos(), "channel receive inside a sim.Handler event dispatch; "+
 					"event effects must not depend on the Go scheduler")
 			}
 		case *ast.SelectStmt:
-			pass.Reportf(x.Pos(), "select inside a sim.Engine event callback; "+
+			pass.Reportf(x.Pos(), "select inside a sim.Handler event dispatch; "+
 				"event effects must not depend on the Go scheduler")
 		case *ast.RangeStmt:
 			if t := pass.TypesInfo.TypeOf(x.X); t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					pass.Reportf(x.Pos(), "range over channel inside a sim.Engine event callback; "+
+					pass.Reportf(x.Pos(), "range over channel inside a sim.Handler event dispatch; "+
 						"event effects must not depend on the Go scheduler")
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
-					pass.Reportf(x.Pos(), "channel close inside a sim.Engine event callback; "+
+					pass.Reportf(x.Pos(), "channel close inside a sim.Handler event dispatch; "+
 						"event effects must not depend on the Go scheduler")
 				}
 			}

@@ -246,7 +246,7 @@ type replayResult struct {
 // replay builds a fresh System for the script and runs it to completion with
 // invariant checking on, classifying any violation.
 func (c *Checker) replay(s *Script, rec *obs.Recorder) (*replayResult, error) {
-	sched, err := computeSchedule(s)
+	sched, err := scheduleFor(s)
 	if err != nil {
 		return nil, err
 	}

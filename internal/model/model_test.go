@@ -286,7 +286,7 @@ func TestScheduleRejectsSameCoreRace(t *testing.T) {
 	s := &Script{Stride: 1000, Windows: []Window{
 		{Cmds: []Command{{Core: 0}, {Core: 0, Write: true, Offset: 1}}},
 	}}
-	if _, err := computeSchedule(s); err == nil {
+	if _, err := scheduleFor(s); err == nil {
 		t.Fatal("same-core race window accepted; static schedule would be unsound")
 	}
 }

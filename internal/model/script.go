@@ -92,12 +92,12 @@ type schedSwitch struct {
 	at   int64
 }
 
-// computeSchedule lays the script out on the cycle axis. Window i starts at
+// scheduleFor lays the script out on the cycle axis. Window i starts at
 // boundary(i−1) + Gap; its commands start at cumulative offsets from there;
 // boundary(i) = boundary(i−1) + Gap + Stride. It rejects scripts whose
 // windows issue two accesses on the same core (the second would stall in the
 // MSHR and drift off the static schedule, making state pruning unsound).
-func computeSchedule(s *Script) (*schedule, error) {
+func scheduleFor(s *Script) (*schedule, error) {
 	if s.Stride < 1 {
 		return nil, fmt.Errorf("model: script stride %d must be ≥ 1", s.Stride)
 	}

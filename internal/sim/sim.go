@@ -1,16 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel with
 // integer cycle timestamps. It is the substrate under the cycle-accurate
-// cache-system model in internal/core: components schedule callbacks at
+// cache-system model in internal/core: components schedule events at
 // absolute cycles and the engine executes them in (time, insertion order)
 // order, which makes every run bit-reproducible.
 //
-// Two scheduling surfaces share one queue and one (at, seq) total order:
-// closure events (Schedule/ScheduleAt — the flexible path for tests and cold
-// code) and typed events (ScheduleKind/ScheduleKindAt — an enum kind, a
-// receiver index and two payload words dispatched through a Handler). Typed
-// events exist because the simulator hot path used to allocate a fresh
-// closure per scheduled callback; a typed item is plain data, so scheduling
-// one performs zero allocations beyond amortized queue growth.
+// Every event is typed: an enum kind, a receiver index and two payload words
+// (ScheduleKind/ScheduleKindAt), dispatched through the engine's Handler. A
+// queue item is plain data with no pointers, so scheduling one performs zero
+// allocations beyond amortized queue growth and the GC never scans the
+// queue's backing array.
 package sim
 
 import (
@@ -20,9 +18,6 @@ import (
 
 // Cycle is a point in simulated time, measured in clock cycles from reset.
 type Cycle int64
-
-// Event is a callback scheduled to run at a specific cycle.
-type Event func(now Cycle)
 
 // Kind is a small enum identifying a typed event's meaning. The enum values
 // belong to the Handler's domain (internal/core defines the simulator's
@@ -35,17 +30,16 @@ type Handler interface {
 	HandleEvent(now Cycle, kind Kind, recv int32, p0, p1 uint64)
 }
 
-// payload is what executes when a queue item fires: either a closure (fn
-// non-nil) or a typed event for the engine's Handler.
+// payload is a queued typed event, dispatched to the engine's Handler when
+// it fires.
 type payload struct {
-	fn   Event // nil for typed events
 	p0   uint64
 	p1   uint64
 	recv int32
 	kind Kind
 }
 
-// ErrPastEvent is returned by ScheduleAt when the requested cycle precedes
+// ErrPastEvent is returned by ScheduleKindAt when the requested cycle precedes
 // the engine's current time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
@@ -81,18 +75,6 @@ func (e *Engine) Reserve(n int) {
 // first ScheduleKind/ScheduleKindAt call.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
-// Reset returns the engine to its initial state — cycle 0, sequence 0, no
-// budget, no handler, empty queue — while keeping the queue's backing
-// capacity. A batch driver evaluating many configurations on one lane
-// resets the engine between runs, so the queue grows once to the fleet's
-// high-water depth instead of once per configuration. A reset engine is
-// observationally identical to a fresh New(): the differential batch suite
-// asserts reuse never leaks state across runs.
-func (e *Engine) Reset() {
-	e.now, e.seq, e.budget, e.handler = 0, 0, 0, nil
-	e.queue.reset()
-}
-
 // SetBudget limits Run to at most limit cycles of simulated time
 // (0 removes the limit). Run returns ErrBudgetExceeded if the limit is hit
 // while events remain.
@@ -102,35 +84,9 @@ func (e *Engine) SetBudget(limit Cycle) { e.budget = limit }
 // SetBudget is exhausted before the event queue drains.
 var ErrBudgetExceeded = errors.New("sim: cycle budget exceeded")
 
-// Schedule queues fn to run delay cycles from now. A zero delay runs fn later
-// in the current cycle, after all previously queued events for this cycle.
-func (e *Engine) Schedule(delay Cycle, fn Event) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.push(e.now+delay, fn)
-}
-
-// ScheduleAt queues fn to run at the absolute cycle at.
-func (e *Engine) ScheduleAt(at Cycle, fn Event) error {
-	if at < e.now {
-		return fmt.Errorf("%w: at=%d now=%d", ErrPastEvent, at, e.now)
-	}
-	e.push(at, fn)
-	return nil
-}
-
-func (e *Engine) push(at Cycle, fn Event) {
-	if fn == nil {
-		panic("sim: nil event")
-	}
-	e.seq++
-	e.queue.push(at, e.seq, payload{fn: fn})
-}
-
-// ScheduleKind queues a typed event delay cycles from now. It shares the
-// (at, seq) order with closure events: a typed event and a closure scheduled
-// back to back fire in exactly that order.
+// ScheduleKind queues a typed event delay cycles from now. A zero delay
+// fires it later in the current cycle, after all previously queued events
+// for this cycle.
 //
 //cohort:hotpath
 func (e *Engine) ScheduleKind(delay Cycle, kind Kind, recv int32, p0, p1 uint64) {
@@ -171,11 +127,7 @@ func (e *Engine) Step() bool {
 		panic(fmt.Sprintf("sim: time moved backwards: %d < %d", it.at, e.now))
 	}
 	e.now = it.at
-	if it.v.fn != nil {
-		it.v.fn(e.now)
-	} else {
-		e.handler.HandleEvent(e.now, it.v.kind, it.v.recv, it.v.p0, it.v.p1)
-	}
+	e.handler.HandleEvent(e.now, it.v.kind, it.v.recv, it.v.p0, it.v.p1)
 	return true
 }
 
@@ -190,17 +142,4 @@ func (e *Engine) Run() error {
 		e.Step()
 	}
 	return nil
-}
-
-// RunUntil executes events with timestamps ≤ deadline, leaving later events
-// queued, and advances time to deadline.
-//
-//cohort:hotpath
-func (e *Engine) RunUntil(deadline Cycle) {
-	for e.queue.len() > 0 && e.queue.s[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
 }
