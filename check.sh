@@ -51,20 +51,33 @@ done
 diff "$smokedir/all-j1.txt" "$smokedir/all-j8.txt"
 rm -rf "$smokedir"
 
-echo "==> bad sizing flags exit 1 with a message, never a panic"
+echo "==> bad sizing flags and per-core lists exit 1 with a message, never a panic"
 sizedir="$(mktemp -d)"
 for tool in cohort-sim cohort-opt cohort-analyze cohort-trace; do
   go build -o "$sizedir/$tool" "./cmd/$tool"
-  for args in "-cores 0" "-scale 0"; do
-    # shellcheck disable=SC2086 # word-split the flag and its value
-    if "$sizedir/$tool" $args > "$sizedir/out.txt" 2>&1; then status=0; else status=$?; fi
-    if [ "$status" != 1 ] || grep -q 'panic:' "$sizedir/out.txt"; then
-      echo "    FAIL: $tool $args exited $status:"
-      sed 's/^/      /' "$sizedir/out.txt"
-      exit 1
-    fi
-  done
 done
+while read -r tool args; do
+  # shellcheck disable=SC2086 # word-split the flags and their values
+  if "$sizedir/$tool" $args < /dev/null > "$sizedir/out.txt" 2>&1; then status=0; else status=$?; fi
+  if [ "$status" != 1 ] || [ ! -s "$sizedir/out.txt" ] || grep -q 'panic:' "$sizedir/out.txt"; then
+    echo "    FAIL: $tool $args exited $status:"
+    sed 's/^/      /' "$sizedir/out.txt"
+    exit 1
+  fi
+done <<'CASES'
+cohort-sim -cores 0
+cohort-sim -scale 0
+cohort-opt -cores 0
+cohort-opt -scale 0
+cohort-analyze -cores 0
+cohort-analyze -scale 0
+cohort-trace -cores 0
+cohort-trace -scale 0
+cohort-opt -timed 1,2,x,0
+cohort-opt -gamma -5,0,0,0
+cohort-sim -crit 1,2,0,0
+cohort-analyze -timers 1,2
+CASES
 rm -rf "$sizedir"
 
 echo "==> batched-vs-scalar and curve-vs-scalar fuzz seeds (committed corpus)"

@@ -13,76 +13,69 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
+	"io"
 
 	"cohort"
 	"cohort/internal/cliutil"
 )
 
-func main() {
-	var (
-		bench     = flag.String("bench", "fft", "benchmark profile")
-		cores     = flag.Int("cores", 4, "number of cores")
-		scale     = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed      = flag.Uint64("seed", 42, "trace generator seed")
-		timers    = flag.String("timers", "300,20,20,-1", "comma-separated per-core timers")
-		sweep     = flag.Bool("sweep", false, "print the θ_is saturation sweep per core")
-		deadlines = flag.String("deadlines", "", "comma-separated per-core task deadlines in cycles (0 = none) for a schedulability check")
-		levels    = flag.Int("levels", 1, "criticality levels (for the hardware bill)")
-	)
-	flag.Parse()
-	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
-		fatal(err)
-	}
+func main() { cliutil.Main("cohort-analyze", run) }
 
-	p, err := cohort.ProfileByName(*bench)
-	if err != nil {
-		fatal(err)
+// run analyzes the configured workload and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-analyze", flag.ContinueOnError)
+	cu := cliutil.New("cohort-analyze")
+	cu.RegisterWorkload(fs)
+	var (
+		timers    = fs.String("timers", "300,20,20,-1", "comma-separated per-core timers")
+		sweep     = fs.Bool("sweep", false, "print the θ_is saturation sweep per core")
+		deadlines = fs.String("deadlines", "", "comma-separated per-core task deadlines in cycles (0 = none) for a schedulability check")
+		levels    = fs.Int("levels", 1, "criticality levels (for the hardware bill)")
+	)
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
-	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
-	ths, err := parseTimers(*timers, *cores)
+	tr, err := cu.Generate(64)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	cfg, err := cohort.NewCoHoRT(*cores, *levels, ths)
+	ths, err := cliutil.List("timers", *timers, cu.Cores, cliutil.Timer)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	dls, err := cliutil.List("deadlines", *deadlines, cu.Cores, cliutil.Cycles)
+	if err != nil {
+		return err
+	}
+	cfg, err := cohort.NewCoHoRT(cu.Cores, *levels, ths)
+	if err != nil {
+		return err
 	}
 
 	bounds, err := cohort.Bounds(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("workload %s (Λ = %d per core), timers %v\n\n", tr.Name, tr.Lambda(0), ths)
-	fmt.Println("per-core analysis (Eq. 1 / Eq. 2-3):")
+	fmt.Fprintf(stdout, "workload %s (Λ = %d per core), timers %v\n\n", tr.Name, tr.Lambda(0), ths)
+	fmt.Fprintln(stdout, "per-core analysis (Eq. 1 / Eq. 2-3):")
 	for _, b := range bounds {
-		fmt.Printf("  core %d (θ=%-8v): WCL %6d, guaranteed hits %5d / misses %5d, WCML bound %10d\n",
+		fmt.Fprintf(stdout, "  core %d (θ=%-8v): WCL %6d, guaranteed hits %5d / misses %5d, WCML bound %10d\n",
 			b.Core, b.Theta, b.WCL, b.MHit, b.MMiss, b.WCMLBound)
 	}
 
 	if *sweep {
-		base := cohort.PaperDefaults(*cores, *levels)
-		fmt.Println("\nθ_is saturation sweep:")
+		base := cohort.PaperDefaults(cu.Cores, *levels)
+		fmt.Fprintln(stdout, "\nθ_is saturation sweep:")
 		for i, s := range tr.Streams {
 			thIS, satHits := cohort.SaturationTimer(s, base.L1, base.Lat)
-			fmt.Printf("  core %d: θ_is = %5v (%d of %d accesses guaranteed at saturation)\n",
+			fmt.Fprintf(stdout, "  core %d: θ_is = %5v (%d of %d accesses guaranteed at saturation)\n",
 				i, thIS, satHits, len(s))
 		}
 	}
 
-	if *deadlines != "" {
-		parts := strings.Split(*deadlines, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-deadlines has %d values for %d cores", len(parts), *cores))
-		}
+	if dls != nil {
 		var tasks []cohort.Task
-		for i, s := range parts {
-			d, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil || d < 0 {
-				fatal(fmt.Errorf("bad deadline %q", s))
-			}
+		for i, d := range dls {
 			if d == 0 {
 				d = 1 << 60 // unconstrained
 			}
@@ -95,48 +88,28 @@ func main() {
 		}
 		vs, err := cohort.Admission(tasks, bounds, 1, *levels)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println("\nschedulability:")
+		fmt.Fprintln(stdout, "\nschedulability:")
 		for _, v := range vs {
 			verdict := "OK"
 			if !v.Schedulable() {
 				verdict = "DEADLINE MISS POSSIBLE"
 			}
-			fmt.Printf("  %s: WCET bound %d vs deadline %d — %s\n",
+			fmt.Fprintf(stdout, "  %s: WCET bound %d vs deadline %d — %s\n",
 				v.Task.Name, v.WCET, v.Task.Deadline, verdict)
 		}
 		if cohort.SetSchedulable(vs) {
-			fmt.Println("  task set schedulable")
+			fmt.Fprintln(stdout, "  task set schedulable")
 		} else {
-			fmt.Println("  task set NOT schedulable")
+			fmt.Fprintln(stdout, "  task set NOT schedulable")
 		}
 	}
 
 	rep, err := cohort.HardwareCost(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\n%s\n", rep)
-}
-
-func parseTimers(s string, n int) ([]cohort.Timer, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-timers has %d values for %d cores", len(parts), n)
-	}
-	out := make([]cohort.Timer, n)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad timer %q: %v", p, err)
-		}
-		out[i] = cohort.Timer(v)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-analyze:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "\n%s\n", rep)
+	return nil
 }

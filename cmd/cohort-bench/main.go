@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -28,9 +27,9 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, obs.WallClock{}); err != nil {
-		cliutil.Fatal("cohort-bench", err)
-	}
+	cliutil.Main("cohort-bench", func(args []string, stdout io.Writer) error {
+		return run(args, stdout, obs.WallClock{})
+	})
 }
 
 // run executes the selected experiments and writes their tables to stdout.
@@ -54,10 +53,7 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		gens    = fs.Int("gens", 16, "GA generations")
 		md      = fs.Bool("md", false, "emit markdown tables")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := cliutil.CheckSizing(fs); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	log, err := cu.Logger(os.Stderr, clk)
@@ -177,20 +173,9 @@ func run(args []string, stdout io.Writer, clk obs.Clock) error {
 		man.Curve = cu.Curve
 		man.Engine = &engine
 		man.Metrics = o.Metrics.Snapshot()
-		man.Finish(clk)
-		path, err := man.Write(cu.OutDir)
-		if err != nil {
+		if err := cu.WriteRun(man, rec, clk, log); err != nil {
 			return err
 		}
-		tracePath := strings.TrimSuffix(path, ".manifest.json") + ".trace.json"
-		var chrome bytes.Buffer
-		if err := rec.WriteChrome(&chrome); err != nil {
-			return err
-		}
-		if err := os.WriteFile(tracePath, chrome.Bytes(), 0o644); err != nil {
-			return err
-		}
-		log.Infof("cohort-bench: wrote %s and %s", path, tracePath)
 	}
 	return nil
 }

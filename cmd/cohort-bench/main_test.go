@@ -137,7 +137,7 @@ func TestManifestAndTraceWritten(t *testing.T) {
 		if err := run(quickArgs("-run", "fig5a", "-j", jobs, "-out-dir", dir), &out, testClock); err != nil {
 			t.Fatalf("run -j %s: %v", jobs, err)
 		}
-		ms, err := obs.LoadDir(dir)
+		ms, err := obs.LoadManifests(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestPprofFlagsWriteProfiles(t *testing.T) {
 
 // TestAttributionExperiment drives -run attribution end to end: the rendered
 // table and summary cover all three systems, and with -out-dir the manifest
-// carries the decomposition rows (schema-validated by LoadDir).
+// carries the decomposition rows (schema-validated by LoadManifests).
 func TestAttributionExperiment(t *testing.T) {
 	dir := t.TempDir()
 	experiments.ResetMemo()
@@ -223,7 +223,7 @@ func TestAttributionExperiment(t *testing.T) {
 		}
 	}
 
-	ms, err := obs.LoadDir(dir)
+	ms, err := obs.LoadManifests(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,86 +17,110 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/config"
 	"cohort/internal/model"
 )
 
+// errViolation reports that exploration or replay found a violation; it is
+// already printed, and main maps it to exit status 1.
+var errViolation = errors.New("violation found")
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errViolation):
+		os.Exit(1)
+	default:
+		fmt.Fprintln(os.Stderr, "cohort-model:", err)
+		os.Exit(2)
+	}
+}
+
+// address and cycles parse one -lines and one -gaps/-offsets element; both
+// take any Go integer literal, so addresses may be written in hex.
+func address(s string) (uint64, error) { return strconv.ParseUint(s, 0, 64) }
+func cycles(s string) (int64, error)   { return strconv.ParseInt(s, 0, 64) }
+
+// run explores or replays as the flags select and writes the verdict to
+// stdout. The flag set exits on its own for -h (0) and bad flags (2).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-model", flag.ExitOnError)
 	var (
-		smoke      = flag.Bool("smoke", false, "explore the smoke configuration (2 cores, 1 line, 2 modes, θ ∈ {−1,0,2,5})")
-		configFile = flag.String("config", "", "explore a platform from this config JSON file instead of -smoke")
-		lines      = flag.String("lines", "0x1000", "comma-separated byte addresses of the lines to exercise (with -config)")
-		depth      = flag.Int("depth", 2, "exploration depth in windows")
-		gaps       = flag.String("gaps", "", "override post-quiescence gap menu (comma-separated cycles)")
-		offsets    = flag.String("offsets", "", "override intra-window race offset menu (comma-separated cycles)")
-		noPairs    = flag.Bool("no-pairs", false, "disable two-command race windows (faster, shallower)")
-		noSym      = flag.Bool("no-symmetry", false, "disable symmetry reduction over identical cores")
-		maxStates  = flag.Int64("max-states", 0, "truncate after this many distinct states (0 = exhaustive)")
-		spillDir   = flag.String("spill-dir", "", "visited-set spill directory (default: temp)")
-		spillAt    = flag.Int("spill-threshold", 0, "in-memory visited keys before spilling to disk (default 1M)")
-		mutate     = flag.String("mutate", "", "arm a seeded protocol fault: "+strings.Join(model.MutationNames(), " | "))
-		out        = flag.String("out", "counterexample.txt", "write the minimized counterexample script here on violation")
-		replayFile = flag.String("replay", "", "replay a counterexample script instead of exploring")
-		chrome     = flag.String("chrome", "", "with -replay: write a Perfetto/Chrome trace of the replay here")
-		quiet      = flag.Bool("q", false, "suppress per-level progress")
+		smoke      = fs.Bool("smoke", false, "explore the smoke configuration (2 cores, 1 line, 2 modes, θ ∈ {−1,0,2,5})")
+		configFile = fs.String("config", "", "explore a platform from this config JSON file instead of -smoke")
+		lines      = fs.String("lines", "0x1000", "comma-separated byte addresses of the lines to exercise (with -config)")
+		depth      = fs.Int("depth", 2, "exploration depth in windows")
+		gaps       = fs.String("gaps", "", "override post-quiescence gap menu (comma-separated cycles)")
+		offsets    = fs.String("offsets", "", "override intra-window race offset menu (comma-separated cycles)")
+		noPairs    = fs.Bool("no-pairs", false, "disable two-command race windows (faster, shallower)")
+		noSym      = fs.Bool("no-symmetry", false, "disable symmetry reduction over identical cores")
+		maxStates  = fs.Int64("max-states", 0, "truncate after this many distinct states (0 = exhaustive)")
+		spillDir   = fs.String("spill-dir", "", "visited-set spill directory (default: temp)")
+		spillAt    = fs.Int("spill-threshold", 0, "in-memory visited keys before spilling to disk (default 1M)")
+		mutate     = fs.String("mutate", "", "arm a seeded protocol fault: "+strings.Join(model.MutationNames(), " | "))
+		out        = fs.String("out", "counterexample.txt", "write the minimized counterexample script here on violation")
+		replayFile = fs.String("replay", "", "replay a counterexample script instead of exploring")
+		chrome     = fs.String("chrome", "", "with -replay: write a Perfetto/Chrome trace of the replay here")
+		quiet      = fs.Bool("q", false, "suppress per-level progress")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse itself exits 0 on -h and 2 on a bad flag
+	gapMenu, err := cliutil.List("gaps", *gaps, 0, cycles)
+	if err != nil {
+		return err
+	}
+	offsetMenu, err := cliutil.List("offsets", *offsets, 0, cycles)
+	if err != nil {
+		return err
+	}
 
 	if *mutate != "" {
 		if err := model.ApplyMutation(*mutate); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if *replayFile != "" {
-		replay(*replayFile, *chrome)
-		return
+		return replay(*replayFile, *chrome, stdout)
 	}
 
 	var mcfg model.Config
 	switch {
 	case *smoke && *configFile != "":
-		fatal(fmt.Errorf("-smoke and -config are mutually exclusive"))
+		return errors.New("-smoke and -config are mutually exclusive")
 	case *smoke:
 		mcfg = model.Smoke(*depth)
 	case *configFile != "":
 		raw, err := os.ReadFile(*configFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		sys, err := config.ParseJSON(raw)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		addrs, err := parseU64List(*lines)
+		addrs, err := cliutil.List("lines", *lines, 0, address)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		mcfg = model.Config{Sys: sys, Lines: addrs, Depth: *depth, Pairs: true, Symmetry: true}
 	default:
-		fmt.Fprintln(os.Stderr, "cohort-model: need -smoke, -config or -replay")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errors.New("need -smoke, -config or -replay")
 	}
-	if *gaps != "" {
-		v, err := parseI64List(*gaps)
-		if err != nil {
-			fatal(err)
-		}
-		mcfg.PostGaps = v
+	if gapMenu != nil {
+		mcfg.PostGaps = gapMenu
 	}
-	if *offsets != "" {
-		v, err := parseI64List(*offsets)
-		if err != nil {
-			fatal(err)
-		}
-		mcfg.RaceOffsets = v
+	if offsetMenu != nil {
+		mcfg.RaceOffsets = offsetMenu
 	}
 	if *noPairs {
 		mcfg.Pairs = false
@@ -116,109 +140,67 @@ func main() {
 
 	c, err := model.New(mcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := c.Explore()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	exhaustive := "exhaustive"
 	if res.Truncated {
 		exhaustive = "TRUNCATED"
 	}
-	fmt.Printf("cohort-model: %d states, %d runs, depth %d (%s), %d spills\n",
+	fmt.Fprintf(stdout, "cohort-model: %d states, %d runs, depth %d (%s), %d spills\n",
 		res.States, res.Runs, res.Depth, exhaustive, res.Spills)
 	if res.Violation == nil {
-		fmt.Println("cohort-model: no violations")
-		return
+		fmt.Fprintln(stdout, "cohort-model: no violations")
+		return nil
 	}
 	v := res.Violation
-	fmt.Printf("cohort-model: VIOLATION [%s]\n  %s\n  script:    %s\n  minimized: %s\n",
+	fmt.Fprintf(stdout, "cohort-model: VIOLATION [%s]\n  %s\n  script:    %s\n  minimized: %s\n",
 		v.Kind, v.Err, model.Describe(v.Script), model.Describe(v.Minimized))
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
+	script := func(w io.Writer) error { return model.WriteScript(w, c.Sys(), c.Lines(), v.Minimized) }
+	if err := cliutil.WriteFile(*out, script); err != nil {
+		return err
 	}
-	if err := model.WriteScript(f, c.Sys(), c.Lines(), v.Minimized); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cohort-model: counterexample written to %s (replay with -replay %s)\n", *out, *out)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "cohort-model: counterexample written to %s (replay with -replay %s)\n", *out, *out)
+	return errViolation
 }
 
 // replay re-executes a counterexample script through a checker rebuilt from
 // the script's embedded configuration.
-func replay(path, chrome string) {
+func replay(path, chrome string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	sys, lines, script, err := model.ParseScript(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	c, err := model.New(model.Config{Sys: sys, Lines: lines, Pairs: true})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var out *model.ReplayOutcome
 	if chrome != "" {
-		cf, err := os.Create(chrome)
+		err = cliutil.WriteFile(chrome, func(w io.Writer) (err error) {
+			out, err = c.ReplayChrome(script, w)
+			return err
+		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		out, err = c.ReplayChrome(script, cf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := cf.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("cohort-model: chrome trace written to %s (load at ui.perfetto.dev)\n", chrome)
-	} else {
-		out, err = c.Replay(script)
-		if err != nil {
-			fatal(err)
-		}
+		fmt.Fprintf(stdout, "cohort-model: chrome trace written to %s (load at ui.perfetto.dev)\n", chrome)
+	} else if out, err = c.Replay(script); err != nil {
+		return err
 	}
-	fmt.Printf("cohort-model: replayed %s\n", model.Describe(script))
+	fmt.Fprintf(stdout, "cohort-model: replayed %s\n", model.Describe(script))
 	if out.Violation == nil {
-		fmt.Println("cohort-model: replay clean (no violation)")
-		return
+		fmt.Fprintln(stdout, "cohort-model: replay clean (no violation)")
+		return nil
 	}
-	fmt.Printf("cohort-model: VIOLATION [%s]\n  %s\n", out.Violation.Kind, out.Violation.Err)
-	os.Exit(1)
-}
-
-func parseU64List(s string) ([]uint64, error) {
-	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad address %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseI64List(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad cycle count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-model:", err)
-	os.Exit(2)
+	fmt.Fprintf(stdout, "cohort-model: VIOLATION [%s]\n  %s\n", out.Violation.Kind, out.Violation.Err)
+	return errViolation
 }

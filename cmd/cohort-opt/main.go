@@ -14,9 +14,8 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"cohort"
 	"cohort/internal/cliutil"
@@ -25,73 +24,59 @@ import (
 	"cohort/internal/parallel"
 )
 
-func main() {
+func main() { cliutil.Main("cohort-opt", run) }
+
+// run optimizes the configured workload's timers and writes the pick and
+// its per-core bounds to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-opt", flag.ContinueOnError)
 	cu := cliutil.New("cohort-opt")
-	cu.RegisterWork(flag.CommandLine)
-	cu.RegisterObs(flag.CommandLine)
-	cu.RegisterProfile(flag.CommandLine)
+	cu.RegisterWork(fs)
+	cu.RegisterObs(fs)
+	cu.RegisterProfile(fs)
+	cu.RegisterWorkload(fs)
 	var (
-		bench = flag.String("bench", "fft", "benchmark profile")
-		cores = flag.Int("cores", 4, "number of cores")
-		scale = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed  = flag.Uint64("seed", 42, "trace generator seed")
-		timed = flag.String("timed", "", "comma-separated 0/1 mask of GA-optimized cores (default: all)")
-		gamma = flag.String("gamma", "", "comma-separated per-core WCML requirements Γ in cycles (0 = none)")
-		pop   = flag.Int("pop", 32, "GA population size")
-		gens  = flag.Int("gens", 40, "GA generations")
-		gaSd  = flag.Uint64("ga-seed", 1, "GA random seed")
+		timed = fs.String("timed", "", "comma-separated 0/1 mask of GA-optimized cores (default: all)")
+		gamma = fs.String("gamma", "", "comma-separated per-core WCML requirements Γ in cycles (0 = none)")
+		pop   = fs.Int("pop", 32, "GA population size")
+		gens  = fs.Int("gens", 40, "GA generations")
+		gaSd  = fs.Uint64("ga-seed", 1, "GA random seed")
 	)
-	flag.Parse()
-	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
-		fatal(err)
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
+	}
+	timedMask, err := cliutil.List("timed", *timed, cu.Cores, cliutil.Bit)
+	if err != nil {
+		return err
+	}
+	if timedMask == nil {
+		timedMask = make([]bool, cu.Cores)
+		for i := range timedMask {
+			timedMask[i] = true
+		}
+	}
+	gammas, err := cliutil.List("gamma", *gamma, cu.Cores, cliutil.Cycles)
+	if err != nil {
+		return err
 	}
 
 	clk := obs.Clock(obs.WallClock{})
 	log, err := cu.Logger(os.Stderr, clk)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	stopProfiles, err := cu.StartProfiles(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiles()
 
-	p, err := cohort.ProfileByName(*bench)
+	tr, err := cu.Generate(64)
 	if err != nil {
-		fatal(err)
-	}
-	tr := p.Scaled(*scale).Generate(*cores, 64, *seed)
-
-	timedMask := make([]bool, *cores)
-	for i := range timedMask {
-		timedMask[i] = true
-	}
-	if *timed != "" {
-		parts := strings.Split(*timed, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-timed has %d values for %d cores", len(parts), *cores))
-		}
-		for i, s := range parts {
-			timedMask[i] = strings.TrimSpace(s) == "1"
-		}
-	}
-	var gammas []int64
-	if *gamma != "" {
-		parts := strings.Split(*gamma, ",")
-		if len(parts) != *cores {
-			fatal(fmt.Errorf("-gamma has %d values for %d cores", len(parts), *cores))
-		}
-		for _, s := range parts {
-			v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-			if err != nil {
-				fatal(fmt.Errorf("bad Γ %q: %v", s, err))
-			}
-			gammas = append(gammas, v)
-		}
+		return err
 	}
 
-	base := cohort.PaperDefaults(*cores, 1)
+	base := cohort.PaperDefaults(cu.Cores, 1)
 	prob := &cohort.Problem{
 		Lat:     base.Lat,
 		L1:      base.L1,
@@ -108,7 +93,7 @@ func main() {
 	var man *obs.Manifest
 	if cu.OutDir != "" {
 		man = obs.NewManifest("cohort-opt", clk)
-		man.Args = os.Args[1:]
+		man.Args = args
 		gc.Metrics = obs.NewRegistry()
 		gc.Recorder = obs.NewRecorder()
 	}
@@ -117,7 +102,7 @@ func main() {
 	// counters to the tracker handle; the debug server pull-samples them.
 	// None of it feeds the canonical result or manifest.
 	tracker := obs.NewRunTracker(clk)
-	rh := tracker.Register("cohort-opt", *bench)
+	rh := tracker.Register("cohort-opt", cu.Bench)
 	gc.Progress = rh
 	if cu.Listen != "" && gc.Metrics == nil {
 		// Serve GA metrics even without -out-dir; Optimize publishes them
@@ -126,13 +111,13 @@ func main() {
 	}
 	srv, err := cu.StartServer(gc.Metrics, tracker, log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 
 	res, err := cohort.Optimize(prob, gc)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rh.Finish()
 
@@ -142,7 +127,7 @@ func main() {
 		// OracleCurve).
 		fp := experiments.Fingerprint(tr)
 		k := parallel.NewKey("cohort-opt/config")
-		k.Str(fp).Int(*cores)
+		k.Str(fp).Int(cu.Cores)
 		for _, b := range timedMask {
 			k.Bool(b)
 		}
@@ -152,37 +137,23 @@ func main() {
 		}
 		man.ConfigKey = hex.EncodeToString([]byte(gc.Key(k).Sum()))
 		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: fp}}
-		man.Seed = int64(*seed)
+		man.Seed = int64(cu.Seed)
 		man.Workers = parallel.DefaultWorkers(cu.Jobs)
 		man.Curve = cu.Curve
 		engine := res.Engine
 		man.Engine = &engine
 		man.Metrics = gc.Metrics.Snapshot()
-		man.Finish(clk)
-		path, err := man.Write(cu.OutDir)
-		if err != nil {
-			fatal(err)
+		if err := cu.WriteRun(man, gc.Recorder, clk, log); err != nil {
+			return err
 		}
-		tracePath := strings.TrimSuffix(path, ".manifest.json") + ".trace.json"
-		tf, err := os.Create(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := gc.Recorder.WriteChrome(tf); err != nil {
-			fatal(err)
-		}
-		if err := tf.Close(); err != nil {
-			fatal(err)
-		}
-		log.Infof("cohort-opt: wrote %s and %s", path, tracePath)
 	}
 
-	fmt.Printf("workload %s: %d oracle evaluations, feasible %v\n",
+	fmt.Fprintf(stdout, "workload %s: %d oracle evaluations, feasible %v\n",
 		tr.Name, res.Evaluations, res.Eval.Feasible())
 	if res.Engine.Jobs > 0 {
-		fmt.Printf("memo-cache: %s\n", res.Engine)
+		fmt.Fprintf(stdout, "memo-cache: %s\n", res.Engine)
 	}
-	fmt.Printf("objective (avg worst-case cycles per request, summed over timed cores): %.2f\n",
+	fmt.Fprintf(stdout, "objective (avg worst-case cycles per request, summed over timed cores): %.2f\n",
 		res.Eval.Objective)
 	g := 0
 	for i, th := range res.Timers {
@@ -191,19 +162,16 @@ func main() {
 			line += fmt.Sprintf("   (θ_is = %v)", res.ThetaIS[g])
 			g++
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-	fmt.Println("per-core bounds at the chosen timers:")
+	fmt.Fprintln(stdout, "per-core bounds at the chosen timers:")
 	for _, b := range res.Eval.PerCore {
-		fmt.Printf("  core %d: WCL %d, guaranteed hits %d / misses %d, WCML bound %d\n",
+		fmt.Fprintf(stdout, "  core %d: WCL %d, guaranteed hits %d / misses %d, WCML bound %d\n",
 			b.Core, b.WCL, b.MHit, b.MMiss, b.WCMLBound)
 	}
 	if len(res.BestHistory) > 0 {
-		fmt.Printf("best fitness: first generation %.2f → last %.2f\n",
+		fmt.Fprintf(stdout, "best fitness: first generation %.2f → last %.2f\n",
 			res.BestHistory[0], res.BestHistory[len(res.BestHistory)-1])
 	}
-}
-
-func fatal(err error) {
-	cliutil.Fatal("cohort-opt", err)
+	return nil
 }

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"cohort/internal/cliutil"
 	"cohort/internal/obs"
 	"cohort/internal/stats"
 )
@@ -95,12 +96,7 @@ type Trajectory struct {
 	Entries []TrajectoryEntry `json:"entries"`
 }
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "cohort-report:", err)
-		os.Exit(1)
-	}
-}
+func main() { cliutil.Main("cohort-report", run) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cohort-report", flag.ContinueOnError)
@@ -113,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 		fpOnly   = fs.Bool("fingerprints", false, "emit one 'tool config_key metrics_sha256' line per group and nothing else (for golden comparison in CI)")
 		speedup  = fs.String("speedup", "", "compare two perf-trajectory files 'BASE.json,NEW.json': per (tool, config key) group, the best wall time in each and the speedup")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := cliutil.Parse(fs, args); err != nil {
 		return err
 	}
 	if *speedup != "" {
@@ -123,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-dir is required")
 	}
 
-	ms, err := obs.LoadDir(*dir)
+	ms, err := obs.LoadManifests(*dir)
 	if err != nil {
 		return err
 	}

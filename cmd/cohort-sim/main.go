@@ -15,8 +15,10 @@ import (
 	"bufio"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,70 +30,108 @@ import (
 	"cohort/internal/parallel"
 )
 
-func main() {
+func main() { cliutil.Main("cohort-sim", run) }
+
+// modeSwitch is one -switch entry: switch to mode at cycle.
+type modeSwitch struct {
+	cycle int64
+	mode  int
+}
+
+// parseSwitch parses one -switch entry written cycle:mode.
+func parseSwitch(s string) (modeSwitch, error) {
+	c, m, ok := strings.Cut(s, ":")
+	if !ok {
+		return modeSwitch{}, errors.New("want cycle:mode")
+	}
+	cyc, err := strconv.ParseInt(c, 10, 64)
+	if err != nil {
+		return modeSwitch{}, err
+	}
+	mode, err := strconv.Atoi(m)
+	return modeSwitch{cyc, mode}, err
+}
+
+// run simulates the configured workload and platform and writes the
+// measurements, next to their analytical bounds, to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-sim", flag.ContinueOnError)
 	cu := cliutil.New("cohort-sim")
-	cu.RegisterObs(flag.CommandLine)
+	cu.RegisterObs(fs)
+	cu.RegisterWorkload(fs)
 	var (
-		bench      = flag.String("bench", "fft", "benchmark profile (ignored with -trace)")
-		traceFile  = flag.String("trace", "", "read the workload from this trace file (text or binary)")
-		dinFiles   = flag.String("din", "", "comma-separated Dinero (.din) files, one per core")
-		cores      = flag.Int("cores", 4, "number of cores")
-		scale      = flag.Float64("scale", 0.05, "access-count scale factor")
-		seed       = flag.Uint64("seed", 42, "trace generator seed")
-		system     = flag.String("system", "cohort", "platform: cohort | pcc | pendulum | msifcfs")
-		timers     = flag.String("timers", "", "comma-separated per-core timers for cohort (e.g. 300,20,20,-1)")
-		crit       = flag.String("crit", "", "comma-separated 0/1 criticality mask for pendulum (default: all critical)")
-		nonperfect = flag.Bool("nonperfect", false, "use the non-perfect LLC with a fixed-latency DRAM")
-		switches   = flag.String("switch", "", "scheduled mode switches as cycle:mode[,cycle:mode...] (cohort with levels)")
-		levels     = flag.Int("levels", 1, "number of criticality levels/modes")
-		mesi       = flag.Bool("mesi", false, "use the MESI snooping protocol instead of MSI")
-		hist       = flag.Bool("hist", false, "print per-core latency histograms")
-		hwOverhead = flag.Bool("hwcost", false, "print the CoHoRT hardware-overhead report")
-		vcdFile    = flag.String("vcd", "", "write a Value Change Dump of the run to this file")
-		checkInv   = flag.Bool("check", false, "validate protocol invariants after every bus transaction (slower)")
-		chromeFile = flag.String("chrome", "", "write a Chrome trace (Perfetto) of the run to this file")
-		attr       = flag.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
+		traceFile  = fs.String("trace", "", "read the workload from this trace file (text or binary) instead of generating -bench")
+		dinFiles   = fs.String("din", "", "comma-separated Dinero (.din) files, one per core")
+		system     = fs.String("system", "cohort", "platform: cohort | pcc | pendulum | msifcfs")
+		timers     = fs.String("timers", "", "comma-separated per-core timers for cohort (e.g. 300,20,20,-1)")
+		crit       = fs.String("crit", "", "comma-separated 0/1 criticality mask for pendulum (default: all critical)")
+		nonperfect = fs.Bool("nonperfect", false, "use the non-perfect LLC with a fixed-latency DRAM")
+		switches   = fs.String("switch", "", "scheduled mode switches as cycle:mode[,cycle:mode...] (cohort with levels)")
+		levels     = fs.Int("levels", 1, "number of criticality levels/modes")
+		mesi       = fs.Bool("mesi", false, "use the MESI snooping protocol instead of MSI")
+		hist       = fs.Bool("hist", false, "print per-core latency histograms")
+		hwOverhead = fs.Bool("hwcost", false, "print the CoHoRT hardware-overhead report")
+		vcdFile    = fs.String("vcd", "", "write a Value Change Dump of the run to this file")
+		checkInv   = fs.Bool("check", false, "validate protocol invariants after every bus transaction (slower)")
+		chromeFile = fs.String("chrome", "", "write a Chrome trace (Perfetto) of the run to this file")
+		attr       = fs.Bool("attr", false, "register the per-core WCML latency-attribution metrics (with -out-dir: included in the manifest snapshot)")
 	)
-	flag.Parse()
-	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
-		fatal(err)
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
+	}
+	sws, err := cliutil.List("switch", *switches, 0, parseSwitch)
+	if err != nil {
+		return err
 	}
 
 	clk := obs.Clock(obs.WallClock{})
 	log, err := cu.Logger(os.Stderr, clk)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	tr, err := loadTrace(*traceFile, *dinFiles, *bench, *cores, *scale, *seed)
+	tr, err := loadTrace(*traceFile, *dinFiles, cu)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	n := tr.NumCores()
 
+	// Every per-core list is checked, whichever -system reads it, so a
+	// malformed one is an error rather than silently ignored.
+	ths, err := cliutil.List("timers", *timers, n, cliutil.Timer)
+	if err != nil {
+		return err
+	}
+	mask, err := cliutil.List("crit", *crit, n, cliutil.Bit)
+	if err != nil {
+		return err
+	}
 	var cfg *cohort.SystemConfig
 	switch *system {
 	case "cohort":
-		ths, err := parseTimers(*timers, n)
-		if err != nil {
-			fatal(err)
+		if ths == nil {
+			ths = make([]cohort.Timer, n)
+			for i := range ths {
+				ths[i] = 100 // a moderate default
+			}
 		}
-		cfg, err = cohort.NewCoHoRT(n, *levels, ths)
-		if err != nil {
-			fatal(err)
+		if cfg, err = cohort.NewCoHoRT(n, *levels, ths); err != nil {
+			return err
 		}
 	case "pcc":
 		cfg = cohort.NewPCC(n)
 	case "pendulum":
-		mask, err := parseMask(*crit, n)
-		if err != nil {
-			fatal(err)
+		if mask == nil {
+			mask = make([]bool, n)
+			for i := range mask {
+				mask[i] = true
+			}
 		}
 		cfg = cohort.NewPENDULUM(mask)
 	case "msifcfs":
 		cfg = cohort.NewMSIFCFS(n)
 	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
+		return fmt.Errorf("unknown system %q", *system)
 	}
 	if *nonperfect {
 		cfg.PerfectLLC = false
@@ -105,11 +145,11 @@ func main() {
 
 	bounds, err := cohort.Bounds(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sys, err := cohort.NewSystem(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var (
 		reg *obs.Registry
@@ -118,11 +158,11 @@ func main() {
 	if cu.OutDir != "" {
 		reg = obs.NewRegistry()
 		if err := sys.SetMetrics(reg); err != nil {
-			fatal(err)
+			return err
 		}
 		if *attr {
 			if err := sys.RegisterAttribution(reg); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
@@ -135,134 +175,112 @@ func main() {
 	tracker := obs.NewRunTracker(clk)
 	rh := tracker.Register("cohort-sim", tr.Name)
 	if err := sys.SetProgress(rh); err != nil {
-		fatal(err)
+		return err
 	}
 	srv, err := cu.StartServer(nil, tracker, log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 	if *chromeFile != "" {
 		rec = obs.NewRecorder()
 		if err := sys.SetRecorder(rec); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var closeVCD func() error
 	if *vcdFile != "" {
 		f, err := os.Create(*vcdFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		defer f.Close() // for the error paths; closeVCD checks the success path's Close
 		rec, err := cohort.NewVCDRecorder(f, n)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := sys.SetTracer(rec); err != nil {
-			fatal(err)
+			return err
 		}
-		closeVCD = func() error {
-			if err := rec.Close(); err != nil {
-				return err
-			}
-			return f.Close()
+		closeVCD = func() error { return errors.Join(rec.Close(), f.Close()) }
+	}
+	for _, sw := range sws {
+		if err := sys.ScheduleModeSwitch(sw.cycle, sw.mode); err != nil {
+			return err
 		}
 	}
-	if *switches != "" {
-		for _, part := range strings.Split(*switches, ",") {
-			cm := strings.SplitN(part, ":", 2)
-			if len(cm) != 2 {
-				fatal(fmt.Errorf("bad -switch entry %q (want cycle:mode)", part))
-			}
-			cyc, err1 := strconv.ParseInt(cm[0], 10, 64)
-			mode, err2 := strconv.Atoi(cm[1])
-			if err1 != nil || err2 != nil {
-				fatal(fmt.Errorf("bad -switch entry %q", part))
-			}
-			if err := sys.ScheduleModeSwitch(cyc, mode); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	run, err := sys.Run()
+	res, err := sys.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rh.Finish()
 	if err := sys.CheckCoherence(); err != nil {
-		fatal(fmt.Errorf("coherence check failed: %w", err))
+		return fmt.Errorf("coherence check failed: %w", err)
 	}
 
-	fmt.Printf("workload %s on %s (%d cores, arbiter %s, %s transfers, perfect LLC %v)\n",
+	fmt.Fprintf(stdout, "workload %s on %s (%d cores, arbiter %s, %s transfers, perfect LLC %v)\n",
 		tr.Name, *system, n, cfg.Arbiter, cfg.Transfer, cfg.PerfectLLC)
-	fmt.Print(run)
-	fmt.Println("per-core WCML (measured vs analytical bound):")
-	for i := range run.Cores {
+	fmt.Fprint(stdout, res)
+	fmt.Fprintln(stdout, "per-core WCML (measured vs analytical bound):")
+	for i := range res.Cores {
 		b := bounds[i]
 		bound := "unbounded"
 		if b.WCMLBound != cohort.Unbounded {
 			bound = fmt.Sprintf("%d", b.WCMLBound)
 		}
-		fmt.Printf("  core %d (θ=%v): measured %d, bound %s, guaranteed hits %d (achieved %d)\n",
-			i, b.Theta, run.Cores[i].TotalLatency, bound, b.MHit, run.Cores[i].Hits)
+		fmt.Fprintf(stdout, "  core %d (θ=%v): measured %d, bound %s, guaranteed hits %d (achieved %d)\n",
+			i, b.Theta, res.Cores[i].TotalLatency, bound, b.MHit, res.Cores[i].Hits)
 	}
 	if *hist {
-		for i := range run.Cores {
-			fmt.Printf("core %d latency distribution:\n%s", i, run.Cores[i].Latency.String())
+		for i := range res.Cores {
+			fmt.Fprintf(stdout, "core %d latency distribution:\n%s", i, res.Cores[i].Latency.String())
 		}
 	}
 	if *hwOverhead {
 		rep, err := cohort.HardwareCost(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 	}
 	if closeVCD != nil {
 		if err := closeVCD(); err != nil {
-			fatal(err)
+			return err
 		}
 		log.Infof("wrote waveform to %s", *vcdFile)
 	}
 	if rec != nil {
-		f, err := os.Create(*chromeFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteChrome(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := cliutil.WriteFile(*chromeFile, rec.WriteChrome); err != nil {
+			return err
 		}
 		log.Infof("wrote chrome trace to %s (load at ui.perfetto.dev)", *chromeFile)
 	}
 	if reg != nil {
 		man := obs.NewManifest("cohort-sim", clk)
-		man.Args = os.Args[1:]
+		man.Args = args
 		// The key covers the full platform description and the workload
 		// content; the simulator is single-threaded, so workers is always 1.
 		cfgJSON, err := json.Marshal(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fp := experiments.Fingerprint(tr)
 		k := parallel.NewKey("cohort-sim/config").Bytes(cfgJSON).Str(fp).Str(*switches)
 		man.ConfigKey = hex.EncodeToString([]byte(k.Sum()))
 		man.Traces = []obs.TraceRef{{Name: tr.Name, Fingerprint: fp}}
-		man.Seed = int64(*seed)
+		man.Seed = int64(cu.Seed)
 		man.Workers = 1
 		man.Metrics = reg.Snapshot()
-		man.Finish(clk)
-		path, err := man.Write(cu.OutDir)
-		if err != nil {
-			fatal(err)
+		if err := cu.WriteRun(man, nil, clk, log); err != nil {
+			return err
 		}
-		log.Infof("wrote manifest to %s", path)
 	}
+	return nil
 }
 
-func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (*cohort.Trace, error) {
+// loadTrace reads the workload from the -din files or the -trace file, or
+// generates the -bench profile when neither is given.
+func loadTrace(path, din string, cu *cliutil.Common) (*cohort.Trace, error) {
 	if din != "" {
 		var streams []cohort.Stream
 		for _, f := range strings.Split(din, ",") {
@@ -291,61 +309,5 @@ func loadTrace(path, din, bench string, cores int, scale float64, seed uint64) (
 		}
 		return cohort.ParseTrace(br)
 	}
-	p, err := cohort.ProfileByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	return p.Scaled(scale).Generate(cores, 64, seed), nil
-}
-
-func parseTimers(s string, n int) ([]cohort.Timer, error) {
-	if s == "" {
-		out := make([]cohort.Timer, n)
-		for i := range out {
-			out[i] = 100 // a moderate default
-		}
-		return out, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-timers has %d values for %d cores", len(parts), n)
-	}
-	out := make([]cohort.Timer, n)
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad timer %q: %v", p, err)
-		}
-		out[i] = cohort.Timer(v)
-	}
-	return out, nil
-}
-
-func parseMask(s string, n int) ([]bool, error) {
-	out := make([]bool, n)
-	if s == "" {
-		for i := range out {
-			out[i] = true
-		}
-		return out, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("-crit has %d values for %d cores", len(parts), n)
-	}
-	for i, p := range parts {
-		switch strings.TrimSpace(p) {
-		case "1":
-			out[i] = true
-		case "0":
-			out[i] = false
-		default:
-			return nil, fmt.Errorf("bad criticality flag %q", p)
-		}
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	cliutil.Fatal("cohort-sim", err)
+	return cu.Generate(64)
 }

@@ -11,69 +11,58 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cohort"
 	"cohort/internal/cliutil"
 )
 
-func main() {
+func main() { cliutil.Main("cohort-trace", run) }
+
+// run generates the configured trace and writes it, or its summary, to
+// stdout or -out.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-trace", flag.ContinueOnError)
+	cu := cliutil.New("cohort-trace")
+	cu.RegisterWorkload(fs)
 	var (
-		bench   = flag.String("bench", "fft", "benchmark profile name")
-		cores   = flag.Int("cores", 4, "number of cores")
-		scale   = flag.Float64("scale", 0.05, "access-count scale factor (1.0 = paper-sized)")
-		seed    = flag.Uint64("seed", 42, "generator seed")
-		line    = flag.Int("line", 64, "cache line size in bytes")
-		out     = flag.String("out", "", "write the trace to this file ('-' or empty = stdout unless -summary)")
-		summary = flag.Bool("summary", false, "print per-core statistics instead of the trace")
-		binform = flag.Bool("binary", false, "write the compact binary format instead of text")
-		list    = flag.Bool("list", false, "list available benchmark profiles")
+		line    = fs.Int("line", 64, "cache line size in bytes")
+		out     = fs.String("out", "", "write the trace to this file ('-' or empty = stdout unless -summary)")
+		summary = fs.Bool("summary", false, "print per-core statistics instead of the trace")
+		binform = fs.Bool("binary", false, "write the compact binary format instead of text")
+		list    = fs.Bool("list", false, "list available benchmark profiles")
 	)
-	flag.Parse()
-	if err := cliutil.CheckSizing(flag.CommandLine); err != nil {
-		fatal(err)
+	if err := cliutil.Parse(fs, args); err != nil {
+		return err
 	}
 
 	if *list {
 		for _, p := range cohort.Profiles() {
-			fmt.Printf("%-10s %8d accesses/core  shared %4d lines  %2.0f%% writes\n",
+			fmt.Fprintf(stdout, "%-10s %8d accesses/core  shared %4d lines  %2.0f%% writes\n",
 				p.Name, p.AccessesPerCore, p.SharedLines, 100*p.PWrite)
 		}
-		return
+		return nil
 	}
 
-	p, err := cohort.ProfileByName(*bench)
+	tr, err := cu.Generate(*line)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	tr := p.Scaled(*scale).Generate(*cores, *line, *seed)
-
 	if *summary {
-		fmt.Print(cohort.SummarizeTrace(tr, *line))
-		return
+		fmt.Fprint(stdout, cohort.SummarizeTrace(tr, *line))
+		return nil
 	}
-	w := os.Stdout
-	if *out != "" && *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	writeFn := tr.Write
+	write := tr.Write
 	if *binform {
-		writeFn = tr.WriteBinary
+		write = tr.WriteBinary
 	}
-	if err := writeFn(w); err != nil {
-		fatal(err)
+	if *out == "" || *out == "-" {
+		return write(stdout)
 	}
-	if w != os.Stdout {
-		fmt.Fprintf(os.Stderr, "wrote %d accesses (%d cores) to %s\n", tr.TotalAccesses(), tr.NumCores(), *out)
+	if err := cliutil.WriteFile(*out, write); err != nil {
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cohort-trace:", err)
-	os.Exit(1)
+	fmt.Fprintf(os.Stderr, "wrote %d accesses (%d cores) to %s\n", tr.TotalAccesses(), tr.NumCores(), *out)
+	return nil
 }

@@ -398,4 +398,4 @@ func NewSpanRecorder() *SpanRecorder { return obs.NewRecorder() }
 func NewRunManifest(tool string, clk ManifestClock) *RunManifest { return obs.NewManifest(tool, clk) }
 
 // LoadManifests reads every *.manifest.json in dir in sorted order.
-func LoadManifests(dir string) ([]*RunManifest, error) { return obs.LoadDir(dir) }
+func LoadManifests(dir string) ([]*RunManifest, error) { return obs.LoadManifests(dir) }

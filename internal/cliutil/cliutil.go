@@ -1,15 +1,16 @@
-// Package cliutil unifies the flag surface and runtime plumbing the cohort
-// CLIs share: the worker/oracle knobs (-j, -curve, -surrogate), artifact
-// output (-out-dir), profiling (-cpuprofile, -memprofile), and the
-// observability additions — the opt-in debug server (-listen) and the
-// structured logger (-log-level, -log-json). The optimizer's exact oracle
-// is not a knob: it serves from a batched per-core memo and switches to
-// hit curves when they pay off. Before this package each tool declared and wired
-// its own copies; now a tool registers one Common and gets identical flag
-// names, help strings and semantics.
+// Package cliutil is the spine the cohort CLIs share. It owns the flag
+// groups every tool registers the same way: the worker/oracle knobs (-j,
+// -curve, -surrogate), the generated workload (-bench, -cores, -scale,
+// -seed), artifact output and observability (-out-dir, -listen,
+// -log-level, -log-json) and profiling (-cpuprofile, -memprofile). It also
+// owns four decisions each tool used to make by hand: how a per-core comma
+// list parses (List), how a generated trace is built (Generate), how a run
+// manifest and its Chrome sidecar are written (WriteRun), and what exit
+// status an error maps to (Parse, Main).
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -17,8 +18,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
+	"cohort/internal/config"
 	"cohort/internal/obs"
+	"cohort/internal/trace"
 )
 
 // Common holds the shared flag values of one CLI invocation. Register the
@@ -30,6 +35,12 @@ type Common struct {
 	Jobs      int
 	Curve     bool
 	Surrogate bool
+
+	// Generated-workload flags (RegisterWorkload).
+	Bench string
+	Cores int
+	Scale float64
+	Seed  uint64
 
 	// Observability flags (RegisterObs).
 	OutDir   string
@@ -54,6 +65,25 @@ func (c *Common) RegisterWork(fs *flag.FlagSet) {
 	fs.IntVar(&c.Jobs, "j", 0, "evaluation workers (1 = serial, <1 = NumCPU); output is identical for every value")
 	fs.BoolVar(&c.Curve, "curve", true, "let the optimizer answer oracle queries from per-core hit-curve indexes once they pay off (tier 1, exact); output is identical for every value")
 	fs.BoolVar(&c.Surrogate, "surrogate", false, "prefilter GA children with the curve-bound surrogate fitness (tier 2, approximate: fewer exact evaluations, optimum may differ); requires -curve")
+}
+
+// RegisterWorkload installs the generated-workload flags: -bench, -cores,
+// -scale and -seed. Generate builds the trace they describe.
+func (c *Common) RegisterWorkload(fs *flag.FlagSet) {
+	fs.StringVar(&c.Bench, "bench", "fft", "benchmark profile to generate")
+	fs.IntVar(&c.Cores, "cores", 4, "number of cores")
+	fs.Float64Var(&c.Scale, "scale", 0.05, "access-count scale factor (1.0 = paper-sized)")
+	fs.Uint64Var(&c.Seed, "seed", 42, "trace generator seed")
+}
+
+// Generate looks up the -bench profile and generates its -scale'd trace
+// for -cores cores at the given line size from -seed.
+func (c *Common) Generate(lineBytes int) (*trace.Trace, error) {
+	p, err := trace.ProfileByName(c.Bench)
+	if err != nil {
+		return nil, err
+	}
+	return p.Scaled(c.Scale).Generate(c.Cores, lineBytes, c.Seed), nil
 }
 
 // RegisterObs installs the observability flags: -out-dir, -listen,
@@ -137,12 +167,128 @@ func (c *Common) StartProfiles(log *obs.Logger) (func(), error) {
 	}, nil
 }
 
-// CheckSizing validates the trace-sizing flags a tool registered on fs, so
+// WriteRun finishes man, writes it into -out-dir and, when rec is non-nil,
+// writes rec's Chrome trace beside it as <name>.trace.json.
+func (c *Common) WriteRun(man *obs.Manifest, rec *obs.Recorder, clk obs.Clock, log *obs.Logger) error {
+	man.Finish(clk)
+	path, err := man.Write(c.OutDir)
+	if err != nil {
+		return err
+	}
+	wrote := path
+	if rec != nil {
+		tracePath := strings.TrimSuffix(path, ".manifest.json") + ".trace.json"
+		if err := WriteFile(tracePath, rec.WriteChrome); err != nil {
+			return err
+		}
+		wrote += " and " + tracePath
+	}
+	log.Infof("%s: wrote %s", c.Tool, wrote)
+	return nil
+}
+
+// WriteFile creates path, fills it with write and closes it. A failed
+// write or close is an error, so a short write never passes silently.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// List parses a comma-separated flag value, one element per comma, with
+// elem. Empty input gives nil, so the caller keeps its default. When n > 0
+// the list must hold exactly n values, one per core. Errors name the flag
+// and, for a bad element, the value.
+func List[T any](name, s string, n int, elem func(string) (T, error)) ([]T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	parts := strings.Split(s, ",")
+	if n > 0 && len(parts) != n {
+		return nil, fmt.Errorf("-%s has %d values for %d cores", name, len(parts), n)
+	}
+	out := make([]T, len(parts))
+	for i, p := range parts {
+		v, err := elem(strings.TrimSpace(p))
+		if err != nil {
+			var ne *strconv.NumError
+			if errors.As(err, &ne) {
+				err = ne.Err
+			}
+			return nil, fmt.Errorf("bad -%s value %q: %v", name, p, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// Bit parses one element of a per-core mask: exactly 0 or 1.
+func Bit(s string) (bool, error) {
+	if s != "0" && s != "1" {
+		return false, errors.New("want 0 or 1")
+	}
+	return s == "1", nil
+}
+
+// Timer parses one per-core timer θ (-1 selects MSI, 0 no caching).
+func Timer(s string) (config.Timer, error) {
+	v, err := strconv.ParseInt(s, 10, 32)
+	return config.Timer(v), err
+}
+
+// Cycles parses one non-negative cycle count, such as a deadline or a
+// WCML requirement Γ.
+func Cycles(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err == nil && v < 0 {
+		return 0, errors.New("must be at least 0")
+	}
+	return v, err
+}
+
+// errUsage marks a flag-parse failure, which Main maps to exit status 2.
+var errUsage = errors.New("usage")
+
+// Parse parses args into fs, then checks the trace-sizing flags fs
+// defines. A parse failure, -h included, is returned as a usage error; the
+// flag package has already printed it with the usage text.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return checkSizing(fs)
+}
+
+// Main runs a tool on the process arguments and exits with the shared
+// contract: 0 on success or -h, 2 on a flag-parse error, and 1 on any
+// other error, printed to stderr as "tool: err".
+func Main(tool string, run func(args []string, stdout io.Writer) error) {
+	os.Exit(exitCode(tool, run(os.Args[1:], os.Stdout), os.Stderr))
+}
+
+func exitCode(tool string, err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	return 1
+}
+
+// checkSizing validates the trace-sizing flags a tool registered on fs, so
 // a bad value is an error naming the flag rather than a panic in trace
 // generation or a silently floored one-access-per-core trace: -scale must
 // be positive and finite, -cores and -line at least 1, and -cap at least 0
-// (0 = no cap). Flags fs does not define are skipped. Call it after Parse.
-func CheckSizing(fs *flag.FlagSet) error {
+// (0 = no cap). Flags fs does not define are skipped.
+func checkSizing(fs *flag.FlagSet) error {
 	checks := []struct {
 		name string
 		bad  func(v any) bool
@@ -163,11 +309,4 @@ func CheckSizing(fs *flag.FlagSet) error {
 		}
 	}
 	return nil
-}
-
-// Fatal prints a tool-prefixed error to stderr and exits 1 — the shared
-// shape of every CLI's error path.
-func Fatal(tool string, err error) {
-	fmt.Fprintln(os.Stderr, tool+":", err)
-	os.Exit(1)
 }

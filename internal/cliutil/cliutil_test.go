@@ -2,16 +2,20 @@ package cliutil
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"cohort/internal/config"
 	"cohort/internal/obs"
+	"cohort/internal/trace"
 )
 
 func testLogger(t *testing.T, buf *bytes.Buffer, c *Common) *obs.Logger {
@@ -23,13 +27,15 @@ func testLogger(t *testing.T, buf *bytes.Buffer, c *Common) *obs.Logger {
 	return log
 }
 
-// TestFlagMatrix parses the flag vectors the three shipping tools accept
-// (cohort-sim registers obs+profile, cohort-bench and cohort-opt all three
-// groups) and checks every value lands in the right field with the right
-// default. The matrix pins the shared-surface contract: same flag names,
-// same defaults, same semantics, whichever tool registers them.
+// TestFlagMatrix parses the flag vectors the shipping tools accept, each
+// registering the groups its run function really registers (cohort-bench:
+// work, obs, profile; cohort-opt: all four; cohort-sim: obs and workload;
+// cohort-analyze and cohort-trace: workload), and checks every value lands
+// in the right field with the right default. The matrix pins the
+// shared-surface contract: same flag names, same defaults, same semantics,
+// whichever tool registers them.
 func TestFlagMatrix(t *testing.T) {
-	type groups struct{ work, obs, profile bool }
+	type groups struct{ work, obs, profile, workload bool }
 	cases := []struct {
 		tool string
 		reg  groups
@@ -38,9 +44,9 @@ func TestFlagMatrix(t *testing.T) {
 	}{
 		{
 			tool: "cohort-sim",
-			reg:  groups{obs: true, profile: true},
-			args: []string{"-out-dir", "art", "-listen", ":0", "-cpuprofile", "cpu.out"},
-			want: Common{OutDir: "art", Listen: ":0", LogLevel: "info", CPUProfile: "cpu.out"},
+			reg:  groups{obs: true, workload: true},
+			args: []string{"-out-dir", "art", "-listen", ":0", "-bench", "lu", "-cores", "2"},
+			want: Common{OutDir: "art", Listen: ":0", LogLevel: "info", Bench: "lu", Cores: 2, Scale: 0.05, Seed: 42},
 		},
 		{
 			tool: "cohort-bench",
@@ -50,31 +56,49 @@ func TestFlagMatrix(t *testing.T) {
 		},
 		{
 			tool: "cohort-opt",
-			reg:  groups{work: true, obs: true, profile: true},
+			reg:  groups{work: true, obs: true, profile: true, workload: true},
 			args: nil, // defaults only: curve oracle on, surrogate off
-			want: Common{Curve: true, LogLevel: "info"},
+			want: Common{Curve: true, LogLevel: "info", Bench: "fft", Cores: 4, Scale: 0.05, Seed: 42},
 		},
 		{
 			tool: "cohort-opt",
-			reg:  groups{work: true, obs: true, profile: true},
-			args: []string{"-curve=false", "-surrogate"},
-			want: Common{Curve: false, Surrogate: true, LogLevel: "info"},
+			reg:  groups{work: true, obs: true, profile: true, workload: true},
+			args: []string{"-curve=false", "-surrogate", "-cpuprofile", "cpu.out", "-seed", "7"},
+			want: Common{Curve: false, Surrogate: true, LogLevel: "info", CPUProfile: "cpu.out", Bench: "fft", Cores: 4, Scale: 0.05, Seed: 7},
 		},
+		{
+			tool: "cohort-analyze",
+			reg:  groups{workload: true},
+			args: []string{"-scale", "0.5"},
+			want: Common{Bench: "fft", Cores: 4, Scale: 0.5, Seed: 42},
+		},
+		{
+			tool: "cohort-trace",
+			reg:  groups{workload: true},
+			args: nil,
+			want: Common{Bench: "fft", Cores: 4, Scale: 0.05, Seed: 42},
+		},
+	}
+	register := func(c *Common, fs *flag.FlagSet, g groups) {
+		if g.work {
+			c.RegisterWork(fs)
+		}
+		if g.obs {
+			c.RegisterObs(fs)
+		}
+		if g.profile {
+			c.RegisterProfile(fs)
+		}
+		if g.workload {
+			c.RegisterWorkload(fs)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.tool, func(t *testing.T) {
 			c := New(tc.tool)
 			fs := flag.NewFlagSet(tc.tool, flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			if tc.reg.work {
-				c.RegisterWork(fs)
-			}
-			if tc.reg.obs {
-				c.RegisterObs(fs)
-			}
-			if tc.reg.profile {
-				c.RegisterProfile(fs)
-			}
+			register(c, fs, tc.reg)
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatalf("parse %v: %v", tc.args, err)
 			}
@@ -84,24 +108,26 @@ func TestFlagMatrix(t *testing.T) {
 			}
 		})
 	}
-
-	// A group that was not registered must reject its flags: cohort-sim has
-	// no worker pool, so -j there is a usage error, not a silent no-op.
-	c := New("cohort-sim")
-	fs := flag.NewFlagSet("cohort-sim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	c.RegisterObs(fs)
-	if err := fs.Parse([]string{"-j", "4"}); err == nil {
-		t.Errorf("unregistered -j parsed without error")
-	}
-
-	// The optimizer picks its own oracle: no work group offers -batch.
-	c = New("cohort-bench")
-	fs = flag.NewFlagSet("cohort-bench", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	c.RegisterWork(fs)
-	if err := fs.Parse([]string{"-batch", "16"}); err == nil {
-		t.Errorf("-batch parsed without error")
+	// A group a tool does not register must reject its flags with a usage
+	// error (exit status 2): cohort-sim has no worker pool and no profiler,
+	// cohort-bench generates no single workload, and no tool offers -batch.
+	for _, tc := range []struct {
+		tool string
+		reg  groups
+		args []string
+	}{
+		{"cohort-sim", groups{obs: true, workload: true}, []string{"-j", "4"}},
+		{"cohort-sim", groups{obs: true, workload: true}, []string{"-cpuprofile", "x"}},
+		{"cohort-bench", groups{work: true, obs: true, profile: true}, []string{"-cores", "2"}},
+		{"cohort-bench", groups{work: true, obs: true, profile: true}, []string{"-batch", "16"}},
+	} {
+		c := New(tc.tool)
+		fs := flag.NewFlagSet(tc.tool, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		register(c, fs, tc.reg)
+		if got := exitCode(tc.tool, Parse(fs, tc.args), io.Discard); got != 2 {
+			t.Errorf("%s %v: exit status %d, want 2", tc.tool, tc.args, got)
+		}
 	}
 }
 
@@ -278,9 +304,9 @@ func TestStartProfilesErrors(t *testing.T) {
 	stop()
 }
 
-// TestCheckSizing pins the shared sizing check every CLI runs after Parse:
-// each bad value is an error naming its flag, good values pass, and flags a
-// tool does not register are skipped.
+// TestCheckSizing pins the sizing check Parse runs after parsing: each bad
+// value is an error naming its flag, good values pass, and flags a tool
+// does not register are skipped.
 func TestCheckSizing(t *testing.T) {
 	newFS := func() *flag.FlagSet {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
@@ -306,11 +332,7 @@ func TestCheckSizing(t *testing.T) {
 		{[]string{"-line", "0"}, "-line"},
 		{[]string{"-cap", "-5"}, "-cap"},
 	} {
-		fs := newFS()
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatalf("%v: parse: %v", tc.args, err)
-		}
-		err := CheckSizing(fs)
+		err := Parse(newFS(), tc.args)
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%v rejected: %v", tc.args, err)
@@ -321,7 +343,159 @@ func TestCheckSizing(t *testing.T) {
 		}
 	}
 	// A tool without sizing flags has nothing to check.
-	if err := CheckSizing(flag.NewFlagSet("bare", flag.ContinueOnError)); err != nil {
+	if err := Parse(flag.NewFlagSet("bare", flag.ContinueOnError), nil); err != nil {
 		t.Errorf("bare flag set: %v", err)
+	}
+}
+
+// TestList pins the per-core list parser every CLI uses for -timers,
+// -crit, -timed, -gamma, -deadlines, -switch and the cohort-model menus.
+func TestList(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		n        int
+		parse    func(string) (any, error)
+		want     []any
+		err      string // "" = accepted
+	}{
+		{"empty gives nil", "", 4, anyOf(Bit), nil, ""},
+		{"mask", "1, 0,1,1", 4, anyOf(Bit), []any{true, false, true, true}, ""},
+		{"mask not strict", "1,2,x,0", 4, anyOf(Bit), nil, `bad -timed value "2": want 0 or 1`},
+		{"mask word", "1,true,0,0", 4, anyOf(Bit), nil, `bad -timed value "true": want 0 or 1`},
+		{"too few", "1,2", 4, anyOf(Timer), nil, "-timed has 2 values for 4 cores"},
+		{"too many", "1,1,1,1,1", 4, anyOf(Bit), nil, "-timed has 5 values for 4 cores"},
+		{"empty element", "1,,1,1", 4, anyOf(Bit), nil, `bad -timed value "": want 0 or 1`},
+		{"timers", "300,20,0,-1", 4, anyOf(Timer), []any{config.Timer(300), config.Timer(20), config.TimerNoCache, config.TimerMSI}, ""},
+		{"timer syntax", "300,2x,0,-1", 4, anyOf(Timer), nil, `bad -timed value "2x": invalid syntax`},
+		{"timer range", "1,1,1,4294967296", 4, anyOf(Timer), nil, `bad -timed value "4294967296": value out of range`},
+		{"cycles", "0,2000000,0,0", 4, anyOf(Cycles), []any{int64(0), int64(2000000), int64(0), int64(0)}, ""},
+		{"negative cycles", "-5,0,0,0", 4, anyOf(Cycles), nil, `bad -timed value "-5": must be at least 0`},
+		{"any count", "7,8,9", 0, anyOf(Cycles), []any{int64(7), int64(8), int64(9)}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := List("timed", tc.in, tc.n, tc.parse)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("List(%q) error = %v, want %q", tc.in, err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("List(%q): %v", tc.in, err)
+			}
+			if !reflect.DeepEqual(got, tc.want) || (got == nil) != (tc.want == nil) {
+				t.Errorf("List(%q) = %#v, want %#v", tc.in, got, tc.want)
+			}
+		})
+	}
+}
+
+// anyOf adapts a typed element parser to the table's common type.
+func anyOf[T any](parse func(string) (T, error)) func(string) (any, error) {
+	return func(s string) (any, error) { return parse(s) }
+}
+
+// TestExitCode pins the exit contract Main applies: 0 on success and -h, 2
+// on a flag-parse error, 1 with a "tool: err" line on any other error.
+func TestExitCode(t *testing.T) {
+	newFS := func() *flag.FlagSet {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.Int("cores", 4, "")
+		return fs
+	}
+	for _, tc := range []struct {
+		err    error
+		code   int
+		stderr string
+	}{
+		{nil, 0, ""},
+		{Parse(newFS(), []string{"-h"}), 0, ""},
+		{Parse(newFS(), []string{"-nope"}), 2, ""},
+		{Parse(newFS(), []string{"-cores", "x"}), 2, ""},
+		{Parse(newFS(), []string{"-cores", "0"}), 1, "tool: invalid -cores 0: must be at least 1\n"},
+		{errors.New("boom"), 1, "tool: boom\n"},
+	} {
+		var stderr bytes.Buffer
+		if got := exitCode("tool", tc.err, &stderr); got != tc.code || stderr.String() != tc.stderr {
+			t.Errorf("exitCode(%v) = %d, stderr %q; want %d, %q", tc.err, got, stderr.String(), tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestWriteFile: the helper reports a failed write and a failed create,
+// and leaves the written bytes on success.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.txt")
+	if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "hi"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "hi" {
+		t.Fatalf("wrote %q, %v", b, err)
+	}
+	boom := errors.New("boom")
+	if err := WriteFile(path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("write error = %v, want boom", err)
+	}
+	if err := WriteFile(filepath.Join(dir, "no", "such"), func(io.Writer) error { return nil }); err == nil {
+		t.Error("create in a missing directory succeeded")
+	}
+}
+
+// TestWriteRun: a run's manifest lands in -out-dir with its Chrome trace
+// beside it when a recorder is attached, and alone when not.
+func TestWriteRun(t *testing.T) {
+	clk := obs.ManualClock{T: time.Unix(0, 0).UTC()}
+	for _, withRec := range []bool{false, true} {
+		c := New("cohort-test")
+		c.OutDir = t.TempDir()
+		var logBuf bytes.Buffer
+		log := testLogger(t, &logBuf, c)
+		man := obs.NewManifest("cohort-test", clk)
+		man.ConfigKey = "00ff"
+		man.Workers = 1
+		var rec *obs.Recorder
+		if withRec {
+			rec = obs.NewRecorder()
+		}
+		if err := c.WriteRun(man, rec, clk, log); err != nil {
+			t.Fatalf("recorder %v: %v", withRec, err)
+		}
+		ms, err := obs.LoadManifests(c.OutDir)
+		if err != nil || len(ms) != 1 {
+			t.Fatalf("recorder %v: %d manifests, %v", withRec, len(ms), err)
+		}
+		traces, _ := filepath.Glob(filepath.Join(c.OutDir, "*.trace.json"))
+		if (len(traces) == 1) != withRec {
+			t.Errorf("recorder %v: trace files %v", withRec, traces)
+		}
+		if !strings.Contains(logBuf.String(), "cohort-test: wrote ") {
+			t.Errorf("recorder %v: artifacts not logged: %q", withRec, logBuf.String())
+		}
+	}
+}
+
+// TestGenerate: the workload flags pick the profile and sizing, and an
+// unknown profile is an error.
+func TestGenerate(t *testing.T) {
+	c := New("cohort-test")
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	c.RegisterWorkload(fs)
+	if err := Parse(fs, []string{"-bench", "lu", "-cores", "2", "-scale", "0.01"}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Generate(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := trace.ProfileByName("lu")
+	want := p.Scaled(0.01).Generate(2, 64, 42)
+	if tr.Name != want.Name || !reflect.DeepEqual(tr.Streams, want.Streams) {
+		t.Errorf("Generate = %s with %d streams, want %s with %d", tr.Name, len(tr.Streams), want.Name, len(want.Streams))
+	}
+	c.Bench = "nope"
+	if _, err := c.Generate(64); err == nil {
+		t.Error("unknown -bench accepted")
 	}
 }

@@ -19,15 +19,23 @@ import (
 func golden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/"+name)
-	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
-	}
+	pkg := loadPackage(t, dir, "cohort/lint-testdata/"+name)
 	diags, err := Run(a, pkg)
 	if err != nil {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
 	checkWants(t, pkg.Fset, pkg.Files, diags)
+}
+
+// loadPackage loads the one package in dir, a testdata directory `go list`
+// does not see, under the given import path.
+func loadPackage(t *testing.T, dir, path string) *Package {
+	t.Helper()
+	prog, err := LoadTree(dir, path)
+	if err != nil {
+		t.Fatalf("load %s: %v", dir, err)
+	}
+	return prog.Package(path)
 }
 
 // checkWants compares diagnostics against the `// want "regexp"` expectations
@@ -191,10 +199,7 @@ func TestAllowAnnotationScope(t *testing.T) {
 	if err := writeFile(filepath.Join(dir, "scope.go"), src); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/scope")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadPackage(t, dir, "cohort/lint-testdata/scope")
 	if diags, _ := Run(MapRangeAnalyzer, pkg); len(diags) != 0 {
 		t.Errorf("maprange not suppressed by annotation: %v", diags)
 	}
@@ -221,10 +226,7 @@ func TestAllowDocEmptyReason(t *testing.T) {
 	if err := writeFile(filepath.Join(dir, "reason.go"), src); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, "cohort/lint-testdata/reason")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadPackage(t, dir, "cohort/lint-testdata/reason")
 	diags, err := Run(AllowDocAnalyzer, pkg)
 	if err != nil {
 		t.Fatal(err)

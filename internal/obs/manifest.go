@@ -258,8 +258,8 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// LoadDir reads every *.manifest.json in dir in sorted filename order.
-func LoadDir(dir string) ([]*Manifest, error) {
+// LoadManifests reads every *.manifest.json in dir in sorted filename order.
+func LoadManifests(dir string) ([]*Manifest, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.manifest.json"))
 	if err != nil {
 		return nil, err

@@ -50,9 +50,9 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip drift:\n%s\nvs\n%s", a, b)
 	}
-	ms, err := LoadDir(dir)
+	ms, err := LoadManifests(dir)
 	if err != nil || len(ms) != 1 {
-		t.Fatalf("LoadDir: %v, %d manifests", err, len(ms))
+		t.Fatalf("LoadManifests: %v, %d manifests", err, len(ms))
 	}
 }
 

@@ -77,7 +77,8 @@ func (p *Problem) msiWeight() float64 {
 	}
 }
 
-// Validate checks the problem dimensions, latencies and L1 geometry.
+// Validate checks the problem dimensions, that no Γ is negative, and the
+// latencies and L1 geometry.
 func (p *Problem) Validate() error {
 	n := len(p.Streams)
 	if n == 0 {
@@ -88,6 +89,11 @@ func (p *Problem) Validate() error {
 	}
 	if p.Gamma != nil && len(p.Gamma) != n {
 		return fmt.Errorf("opt: Gamma has %d entries for %d cores", len(p.Gamma), n)
+	}
+	for i, g := range p.Gamma {
+		if g < 0 {
+			return fmt.Errorf("opt: core %d Gamma %d is negative", i, g)
+		}
 	}
 	if p.Lat.Hit < 1 || p.Lat.Req < 1 || p.Lat.Data < 1 {
 		return fmt.Errorf("opt: invalid latencies %+v", p.Lat)

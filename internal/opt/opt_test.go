@@ -51,6 +51,11 @@ func TestProblemValidate(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("empty streams accepted")
 	}
+	bad4 := *p
+	bad4.Gamma = []int64{0, -5, 0, 0}
+	if err := bad4.Validate(); err == nil {
+		t.Fatal("negative Gamma accepted")
+	}
 }
 
 // TestInvalidL1GeometryRejected pins that both engines reject an L1 the
