@@ -108,6 +108,18 @@ go run ./cmd/cohort-bench -run fig5a -j 1 -curve=false -scale 0.01 -cap 800 -ben
 go run ./cmd/cohort-bench -run fig5a -j 8 -curve=false -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 -out-dir "$obsdir" >/dev/null 2>&1
 go run ./cmd/cohort-bench -run fig5a -j 1 -scale 0.01 -cap 800 -benches fft,water -pop 8 -gens 6 -out-dir "$obsdir" >/dev/null 2>&1
 go run ./cmd/cohort-report -dir "$obsdir" -check >/dev/null
+# cohort-sim's metrics snapshot and its post-run invariant sweep on a
+# non-perfect LLC: two runs of one config must agree under -check. Both runs
+# write the same manifest name, so the first is renamed before the second.
+simdir="$obsdir/sim"
+simflags="-bench fft -timers 300,20,20,-1 -nonperfect -check -out-dir $simdir"
+# shellcheck disable=SC2086 # word-split the flags
+go run ./cmd/cohort-sim $simflags >/dev/null 2>&1
+for f in "$simdir"/*.manifest.json; do mv "$f" "${f%.manifest.json}-first.manifest.json"; done
+# shellcheck disable=SC2086
+go run ./cmd/cohort-sim $simflags >/dev/null 2>&1
+test "$(ls "$simdir"/*.manifest.json | wc -l)" -eq 2
+go run ./cmd/cohort-report -dir "$simdir" -check >/dev/null
 
 echo "==> perf smoke (bit-identical fingerprints vs pre-overhaul goldens)"
 go run ./cmd/cohort-report -dir "$obsdir" -fingerprints > "$obsdir/fingerprints.txt"

@@ -165,12 +165,6 @@ func (c *Cache) Invalidate(e *Entry) {
 	*e = Entry{}
 }
 
-// InvalidateAll empties the whole cache (used on mode-switch flush ablations
-// and tests).
-func (c *Cache) InvalidateAll() {
-	clear(c.ents)
-}
-
 // ForEach calls fn for every valid entry; iteration order is deterministic
 // (set-major, way-minor).
 func (c *Cache) ForEach(fn func(*Entry)) {

@@ -3,8 +3,6 @@ package coherence
 import (
 	"fmt"
 	"sort"
-
-	"cohort/internal/trace"
 )
 
 // Waiter is one broadcast request queued behind a line's current owner.
@@ -92,17 +90,6 @@ func (li *LineInfo) RemoveSharer(core int) { li.Sharers &^= 1 << uint(core) }
 
 // IsSharer reports whether core holds a Shared copy.
 func (li *LineInfo) IsSharer(core int) bool { return li.Sharers&(1<<uint(core)) != 0 }
-
-// SharerList returns the sharer cores in ascending order (deterministic).
-func (li *LineInfo) SharerList(n int) []int {
-	var out []int
-	for c := 0; c < n; c++ {
-		if li.IsSharer(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
 
 // dirSlot is one open-addressing table slot; empty iff li == nil (so address
 // 0 needs no sentinel).
@@ -267,6 +254,3 @@ func (d *Directory) ForEach(fn func(lineAddr uint64, li *LineInfo)) {
 		fn(la, d.Peek(la))
 	}
 }
-
-// RequestKind converts a trace access kind into the waiter Write flag.
-func RequestKind(k trace.Kind) bool { return k == trace.Write }

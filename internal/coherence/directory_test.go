@@ -1,10 +1,6 @@
 package coherence
 
-import (
-	"testing"
-
-	"cohort/internal/trace"
-)
+import "testing"
 
 func TestDirectoryFirstTouchMemOwned(t *testing.T) {
 	d := NewDirectory()
@@ -66,15 +62,8 @@ func TestSharerBitmask(t *testing.T) {
 	if !li.IsSharer(0) || !li.IsSharer(3) || !li.IsSharer(63) || li.IsSharer(1) {
 		t.Fatal("sharer bits wrong")
 	}
-	got := li.SharerList(64)
-	want := []int{0, 3, 63}
-	if len(got) != len(want) {
-		t.Fatalf("SharerList = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SharerList = %v, want %v", got, want)
-		}
+	if want := uint64(1 | 1<<3 | 1<<63); li.Sharers != want {
+		t.Fatalf("Sharers = %#x, want %#x", li.Sharers, want)
 	}
 	li.RemoveSharer(3)
 	if li.IsSharer(3) {
@@ -96,11 +85,5 @@ func TestForEach(t *testing.T) {
 	d.ForEach(func(uint64, *LineInfo) { n++ })
 	if n != 3 {
 		t.Fatalf("ForEach visited %d, want 3", n)
-	}
-}
-
-func TestRequestKind(t *testing.T) {
-	if RequestKind(trace.Read) || !RequestKind(trace.Write) {
-		t.Fatal("RequestKind mapping wrong")
 	}
 }

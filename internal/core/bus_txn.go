@@ -125,7 +125,7 @@ func (s *System) finishBroadcast(c *coreState, m *missState, now int64) {
 	m.inFlight = false
 	m.broadcasted = true
 	m.broadcastAt = now
-	s.recordRequest(m.line, c.id)
+	s.lineRequests.Inc()
 	li := s.dir.Get(m.line)
 	// Upgrade: the stale S copy dies with the GetM broadcast.
 	if m.wasShared {
@@ -310,7 +310,10 @@ func (s *System) grantData(c *coreState, m *missState, now int64) {
 	m.dataGrantAt = now
 	dur := s.cfg.Lat.Data
 	if li.Owner != coherence.MemOwner {
-		s.recordHandover(m.line, m.dataReadyAt-m.broadcastAt)
+		// A cache-to-cache handover; the requester waited broadcast-to-ready
+		// for the owner's timer release.
+		s.lineHandovers.Inc()
+		s.timerStallCycles.Add(m.dataReadyAt - m.broadcastAt)
 		if s.cfg.Transfer == config.TransferViaMemory {
 			dur = 2 * s.cfg.Lat.Data // write back to memory, then re-fetch
 		}

@@ -28,9 +28,6 @@ const (
 	evSharerInval
 	// evModeSwitch applies a scheduled mode switch; p0 carries the mode.
 	evModeSwitch
-	// evSamplerTick records one latency sample; recv indexes s.samplers
-	// (fixed once Run starts).
-	evSamplerTick
 	// evGovernorSample evaluates one governor window.
 	evGovernorSample
 )
@@ -107,8 +104,6 @@ func (s *System) HandleEvent(now sim.Cycle, kind sim.Kind, recv int32, p0, _ uin
 		s.firedSharerInval(int32(p0), n)
 	case evModeSwitch:
 		s.applyModeSwitch(n, int(p0))
-	case evSamplerTick:
-		s.samplerTick(recv, n)
 	case evGovernorSample:
 		s.governorSample(n)
 	default:

@@ -147,61 +147,3 @@ func TestGovernorValidation(t *testing.T) {
 		t.Fatal("SetGovernor after Run accepted")
 	}
 }
-
-func TestLatencySampler(t *testing.T) {
-	cfg := governedConfig()
-	tr := contendedTrace()
-	sys, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatency(0, 3000); err != nil {
-		t.Fatal(err)
-	}
-	run, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := sys.LatencySeries()
-	if len(series) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	var winSum int64
-	for i, pt := range series {
-		if pt.At != int64(i+1)*3000 {
-			t.Fatalf("sample %d at %d, want %d", i, pt.At, (i+1)*3000)
-		}
-		if pt.Window < 0 || pt.Cumulative < pt.Window {
-			t.Fatalf("inconsistent sample %+v", pt)
-		}
-		if i > 0 && pt.Cumulative < series[i-1].Cumulative {
-			t.Fatal("cumulative latency regressed")
-		}
-		winSum += pt.Window
-	}
-	if winSum != series[len(series)-1].Cumulative {
-		t.Fatal("window sums do not telescope")
-	}
-	if series[len(series)-1].Cumulative > run.Cores[0].TotalLatency {
-		t.Fatal("series exceeds the final total")
-	}
-}
-
-func TestLatencySamplerValidation(t *testing.T) {
-	sys, _ := New(governedConfig(), contendedTrace())
-	if err := sys.SampleLatency(-1, 10); err == nil {
-		t.Fatal("bad core accepted")
-	}
-	if err := sys.SampleLatency(0, 0); err == nil {
-		t.Fatal("bad window accepted")
-	}
-	if err := sys.SampleLatency(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatency(0, 10); err == nil {
-		t.Fatal("SampleLatency after Run accepted")
-	}
-}

@@ -207,3 +207,46 @@ func TestMutationTimerReleaseSkewCaught(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckCoherenceFailsClosed corrupts a finished run's state three ways
+// and requires the post-run sweep to name each breach with its invariant
+// kind; on the clean run it must return an untyped nil.
+func TestCheckCoherenceFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(sys *System, line uint64)
+		want    invariant.Kind
+	}{
+		{"value", func(sys *System, line uint64) { sys.cores[1].l1.Lookup(line).Version-- }, invariant.KindValueConsistency},
+		{"swmr", func(sys *System, line uint64) { sys.cores[1].l1.Lookup(line).State = cache.Modified }, invariant.KindSWMR},
+		{"inclusion", func(sys *System, line uint64) {
+			arr := sys.LLC().Array()
+			arr.Invalidate(arr.Lookup(line))
+		}, invariant.KindInclusion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Core 0 writes lineA, core 1 reads it later: both end with a
+			// Shared copy at version 1, resident in the non-perfect LLC.
+			cfg := cfgN(2, config.TimerMSI, config.TimerMSI)
+			cfg.PerfectLLC = false
+			sys, err := New(cfg, mkTrace(
+				trace.Stream{{Addr: lineA, Kind: trace.Write}},
+				trace.Stream{{Addr: lineA, Kind: trace.Read, Gap: 300}},
+			))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.CheckCoherence(); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			tc.corrupt(sys, sys.cores[1].l1.LineAddr(lineA))
+			var ie *invariant.Error
+			if err := sys.CheckCoherence(); !errors.As(err, &ie) || ie.Kind != tc.want {
+				t.Fatalf("CheckCoherence = %v, want a %s violation", err, tc.want)
+			}
+		})
+	}
+}

@@ -18,10 +18,11 @@ func simTidCore(core int) int { return core + 1 }
 // SetMetrics registers the system's measurement surface with a registry:
 // run-level counters (cycles, bus occupancy, transactions, mode switches),
 // the per-core access/latency family including the latency histograms, the
-// LLC and arbiter counters, timer-protection-window totals, and contention
-// summaries. Values are read when the registry is snapshotted — attach the
-// registry, Run, then Snapshot. Must be called before Run; passing nil is a
-// no-op. Attaching a registry does not touch the simulator hot path.
+// LLC and arbiter counters, timer-protection-window totals, and run-wide
+// request, handover and timer-stall totals. Values are read when the
+// registry is snapshotted — attach the registry, Run, then Snapshot. Must be
+// called before Run; passing nil is a no-op. Attaching a registry does not
+// touch the simulator hot path.
 func (s *System) SetMetrics(reg *obs.Registry) error {
 	if s.ran {
 		return errors.New("core: SetMetrics after Run")
@@ -72,31 +73,9 @@ func (s *System) SetMetrics(reg *obs.Registry) error {
 		s.dir.ForEach(func(uint64, *coherence.LineInfo) { n++ })
 		return n
 	})
-	reg.RegisterFunc("sim_contended_lines", func() int64 { return int64(len(s.contention)) })
-	reg.RegisterCounterFunc("sim_line_requests_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.Requests
-		}
-		return total
-	})
-	reg.RegisterCounterFunc("sim_line_handovers_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.Handovers
-		}
-		return total
-	})
-	reg.RegisterCounterFunc("sim_timer_stall_cycles_total", func() int64 {
-		var total int64
-		//cohort:allow maprange: order-independent integer sum over the contention map
-		for _, lc := range s.contention {
-			total += lc.TimerStalls
-		}
-		return total
-	})
+	reg.RegisterCounter("sim_line_requests_total", &s.lineRequests)
+	reg.RegisterCounter("sim_line_handovers_total", &s.lineHandovers)
+	reg.RegisterCounter("sim_timer_stall_cycles_total", &s.timerStallCycles)
 	return nil
 }
 
@@ -165,11 +144,11 @@ func (s *System) noteProgress(now int64) {
 
 // SetRecorder attaches a span/event recorder: bus occupancy spans
 // (broadcast and data phases), per-core miss intervals, timer-protection
-// windows, invalidation and mode-switch instants, and the latency-sampler
-// series become Chrome trace events (obs.Recorder.WriteChrome → Perfetto).
-// Timestamps are simulated cycles. Must be called before Run; passing nil
-// is a no-op. Recording is fully independent of SetTracer (both may be
-// attached) and has zero cost when detached.
+// windows, and invalidation and mode-switch instants become Chrome trace
+// events (obs.Recorder.WriteChrome → Perfetto). Timestamps are simulated
+// cycles. Must be called before Run; passing nil is a no-op. Recording is
+// fully independent of SetTracer (both may be attached) and has zero cost
+// when detached.
 func (s *System) SetRecorder(rec *obs.Recorder) error {
 	if s.ran {
 		return errors.New("core: SetRecorder after Run")

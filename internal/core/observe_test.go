@@ -77,8 +77,35 @@ func TestSetMetricsSnapshotMatchesRun(t *testing.T) {
 	if m, ok := snap.Get("bus_arbiter_grants", obs.L("arbiter", "rrof")); !ok || m.Value == 0 || m.Value > sys.run.Transactions {
 		t.Fatalf("bus_arbiter_grants = %+v (transactions %d)", m, sys.run.Transactions)
 	}
-	if m, ok := snap.Get("sim_line_requests_total"); !ok || m.Value == 0 {
-		t.Fatalf("sim_line_requests_total = %+v", m)
+
+	// The run-wide contention totals of one fixed fft run, pinned.
+	p, err := trace.ProfileByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fft, err := New(cfgN(4, 300, 100, 50, config.TimerMSI), p.Scaled(0.1).Generate(4, 64, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg = obs.NewRegistry()
+	if err := fft.SetMetrics(reg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fft.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	for _, want := range []struct {
+		name  string
+		value int64
+	}{
+		{"sim_line_requests_total", 794},
+		{"sim_line_handovers_total", 189},
+		{"sim_timer_stall_cycles_total", 12026},
+	} {
+		if m, ok := snap.Get(want.name); !ok || m.Kind != obs.KindCounter || m.Value != want.value {
+			t.Errorf("%s = %+v, want counter %d", want.name, m, want.value)
+		}
 	}
 }
 
@@ -187,83 +214,5 @@ func TestObserveAfterRunRejected(t *testing.T) {
 	}
 	if err := sys.SetRecorder(obs.NewRecorder()); err == nil {
 		t.Fatal("SetRecorder after Run accepted")
-	}
-}
-
-func TestMultiCoreSampler(t *testing.T) {
-	cfg := cfgN(2, 300, 300)
-	tr := mkTrace(
-		trace.Stream{{Addr: lineA, Kind: trace.Write}, {Addr: lineB, Kind: trace.Read}},
-		trace.Stream{{Addr: lineA, Kind: trace.Write}},
-	)
-	sys, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	if err := sys.SetRecorder(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatencyCores(10, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.SampledCores(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("SampledCores = %v", got)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	s0, s1 := sys.LatencySeriesFor(0), sys.LatencySeriesFor(1)
-	if len(s0) == 0 || len(s1) == 0 {
-		t.Fatalf("missing series: %d/%d samples", len(s0), len(s1))
-	}
-	// The single-core accessor returns the first sampler's series.
-	if legacy := sys.LatencySeries(); len(legacy) != len(s0) || legacy[0] != s0[0] {
-		t.Fatalf("LatencySeries diverged from LatencySeriesFor(0)")
-	}
-	if sys.LatencySeriesFor(7) != nil {
-		t.Fatal("unsampled core returned a series")
-	}
-	// Sampler series reach the recorder as counter tracks.
-	found := false
-	for _, ev := range rec.Events() {
-		if ev.Ph == "C" && ev.Name == "cum latency" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("sampler series missing from recorder")
-	}
-}
-
-func TestSamplerValidation(t *testing.T) {
-	cfg := cfgN(1, config.TimerMSI)
-	tr := mkTrace(trace.Stream{{Addr: lineA, Kind: trace.Read}})
-	sys, err := New(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatency(5, 10); err == nil {
-		t.Fatal("out-of-range core accepted")
-	}
-	if err := sys.SampleLatency(0, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	// Re-sampling the same core replaces its window instead of duplicating.
-	if err := sys.SampleLatency(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatency(0, 20); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.SampledCores(); len(got) != 1 {
-		t.Fatalf("duplicate sampler registered: %v", got)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SampleLatency(0, 10); err == nil {
-		t.Fatal("SampleLatency after Run accepted")
 	}
 }

@@ -158,9 +158,9 @@ func (d *dbgTracer) worstWindow(core int) string {
 	return out
 }
 
-// TestStressSingleLineContention hammers one line from many cores under
+// TestStressSingleHotLine hammers one line from many cores under
 // every arbiter — the worst case Eq. 1 is written for.
-func TestStressSingleLineContention(t *testing.T) {
+func TestStressSingleHotLine(t *testing.T) {
 	for _, arb := range []config.Arbiter{config.ArbiterRROF, config.ArbiterRR, config.ArbiterFCFS, config.ArbiterTDM} {
 		for _, theta := range []config.Timer{config.TimerMSI, 0, 1, 30, 500} {
 			cfg := config.PaperDefaults(4, 1)

@@ -9,7 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"cohort/internal/bus"
 	"cohort/internal/cache"
@@ -74,7 +73,6 @@ type System struct {
 	busBusyUntil int64
 	busHeld      bool    // a transaction owner may still extend its tenure
 	kickPending  []int64 // cycles with a scheduled evKick (bounded by cores+2; linear scan beats a map here)
-	contention   map[uint64]*LineContention
 
 	// Hot-path scratch, preallocated in New / pooled across events so the
 	// steady-state simulation loop performs no heap allocations.
@@ -88,7 +86,6 @@ type System struct {
 
 	modeSwitches []scheduledSwitch
 	tracer       Tracer
-	samplers     []*latencySampler
 	governor     *Governor
 	governorLog  []GovernorDecision
 	governorLast int64
@@ -96,13 +93,16 @@ type System struct {
 
 	// Observability (internal/obs). metrics and rec stay nil unless
 	// SetMetrics/SetRecorder are called, keeping the unobserved hot path
-	// allocation-free; the timer-window counters are plain value fields and
-	// count unconditionally (an integer add each).
+	// allocation-free; the counters are plain value fields and count
+	// unconditionally (an integer add each).
 	metrics           *obs.Registry
 	rec               *obs.Recorder
 	missStart         []int64 // per-core miss-start cycle for recorder spans
 	timerWindows      obs.Counter
 	timerWindowCycles obs.Counter
+	lineRequests      obs.Counter // request broadcasts
+	lineHandovers     obs.Counter // cache-to-cache ownership transfers
+	timerStallCycles  obs.Counter // broadcast-to-ready waits paid for handovers
 
 	// Live-progress handle (obs.RunTracker). Updates are batched through
 	// plain integer fields so the steady-state cost with a handle attached is
@@ -159,7 +159,6 @@ func New(cfg *config.System, tr *trace.Trace) (*System, error) {
 		dir:         coherence.NewDirectory(),
 		run:         stats.NewRun(cfg.N()),
 		mode:        cfg.Mode,
-		contention:  make(map[uint64]*LineContention),
 		kickPending: make([]int64, 0, cfg.N()+4),
 		cands:       make([]bus.Candidate, cfg.N()),
 		timerRecs:   make([]timerRec, 0, 4*cfg.N()),
@@ -263,7 +262,6 @@ func (s *System) Run() (*stats.Run, error) {
 		s.atEvent(sw.at, evModeSwitch, 0, uint64(sw.mode), 0)
 	}
 	s.startGovernor()
-	s.startSampler()
 	for _, c := range s.cores {
 		if len(c.stream) == 0 {
 			c.finished = true
@@ -376,63 +374,16 @@ func (s *System) pinnedInL1(line uint64) bool {
 	return false
 }
 
-// CheckCoherence validates the coherence invariants across all caches and
-// the directory: at most one Modified copy per line; a Modified copy excludes
-// all other copies; every valid copy is registered in the directory; and
-// every copy's data version matches the line's committed version. Intended
-// for tests; cost is proportional to cache capacity.
+// CheckCoherence runs the internal/invariant sweep over the finished
+// system: SWMR, value consistency against each line's committed version, LLC
+// inclusion and the timer-protection bound, with every cached copy
+// registered in the directory. It returns the first violation as an
+// *invariant.Error, or nil. Cost is proportional to cache capacity.
 func (s *System) CheckCoherence() error {
-	type copyInfo struct {
-		core  int
-		state cache.State
-		ver   uint64
-	}
-	copies := make(map[uint64][]copyInfo)
-	for _, c := range s.cores {
-		c.l1.ForEach(func(e *cache.Entry) {
-			copies[e.LineAddr] = append(copies[e.LineAddr], copyInfo{c.id, e.State, e.Version})
-		})
-	}
-	lines := make([]uint64, 0, len(copies))
-	for line := range copies {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	for _, line := range lines {
-		cs := copies[line]
-		li := s.dir.Peek(line)
-		if li == nil {
-			return fmt.Errorf("line %#x cached but not in directory", line)
-		}
-		modified := 0
-		for _, ci := range cs {
-			switch ci.state {
-			case cache.Invalid:
-				// Unreachable: ForEach yields valid entries only. Listed so
-				// the switch stays exhaustive over cache.State.
-			case cache.Modified, cache.Exclusive:
-				modified++
-				if li.Owner != ci.core {
-					return fmt.Errorf("line %#x: M in core %d but directory owner %d", line, ci.core, li.Owner)
-				}
-				if li.OwnerReleased {
-					return fmt.Errorf("line %#x: M copy present but marked released", line)
-				}
-			case cache.Shared:
-				if !li.IsSharer(ci.core) {
-					return fmt.Errorf("line %#x: S in core %d not registered as sharer", line, ci.core)
-				}
-			}
-			if ci.ver != li.Version {
-				return fmt.Errorf("line %#x: core %d holds version %d, committed %d", line, ci.core, ci.ver, li.Version)
-			}
-		}
-		if modified > 1 {
-			return fmt.Errorf("line %#x: %d owned (M/E) copies", line, modified)
-		}
-		if modified == 1 && len(cs) > 1 {
-			return fmt.Errorf("line %#x: owned copy coexists with %d other copies", line, len(cs)-1)
-		}
+	// Returning the *invariant.Error directly would turn a clean sweep into
+	// a non-nil error holding a nil pointer.
+	if err := invariant.NewChecker(s).CheckTransaction(s.run.Cycles); err != nil {
+		return err
 	}
 	return nil
 }

@@ -53,9 +53,6 @@ func New(geom config.CacheGeometry, perfect bool, dramLat int64) *LLC {
 	return l
 }
 
-// Perfect reports whether the LLC is in perfect mode.
-func (l *LLC) Perfect() bool { return l.perfect }
-
 // Fetch serves a line fill toward a private cache and returns the extra
 // latency beyond the bus data transfer (0 on an LLC hit, the DRAM latency on
 // a miss) plus the line addresses that must be back-invalidated from private

@@ -136,12 +136,3 @@ func TestLRUWithinLLC(t *testing.T) {
 		t.Fatalf("LRU eviction = %v, want [2]", backInv)
 	}
 }
-
-func TestPerfectAccessor(t *testing.T) {
-	if !New(smallGeom(), true, 0).Perfect() {
-		t.Fatal("perfect LLC not reported")
-	}
-	if New(smallGeom(), false, 1).Perfect() {
-		t.Fatal("non-perfect LLC reported perfect")
-	}
-}

@@ -100,9 +100,10 @@ type Result struct {
 
 // Violation is a failed check with its reproduction.
 type Violation struct {
-	// Kind classifies the violation: an invariant.Kind string, "deadlock",
-	// "livelock", "coherence" (final-sweep failure), "quiescence" or
-	// "overrun" (the run failed to settle inside its window stride).
+	// Kind classifies the violation: an invariant.Kind string (a latched
+	// check or the post-run CheckCoherence sweep), "deadlock", "livelock",
+	// "quiescence" or "overrun" (the run failed to settle inside its window
+	// stride).
 	Kind string
 	// Err is the full violation message from the simulator.
 	Err string
@@ -274,7 +275,7 @@ func (c *Checker) replay(s *Script, rec *obs.Recorder) (*replayResult, error) {
 	}
 	out.run = run
 	if err := sys.CheckCoherence(); err != nil {
-		out.kind, out.msg = "coherence", err.Error()
+		out.kind, out.msg = classify(err)
 		return out, nil
 	}
 	if !sys.Quiescent() {
@@ -289,7 +290,7 @@ func (c *Checker) replay(s *Script, rec *obs.Recorder) (*replayResult, error) {
 	return out, nil
 }
 
-// classify maps a Run error to a violation kind.
+// classify maps a Run or CheckCoherence error to a violation kind.
 func classify(err error) (kind, msg string) {
 	var ie *invariant.Error
 	switch {

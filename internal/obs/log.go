@@ -16,8 +16,8 @@ import (
 //     prints produced before the logger existed, so default CLI output is
 //     unchanged.
 //   - JSON mode emits one slog-style object per line with a timestamp read
-//     from the injected Clock, the level, the tool, an optional run id for
-//     correlation with the RunTracker, and the formatted message.
+//     from the injected Clock, the level, the tool, and the formatted
+//     message.
 //
 // Levels gate what is emitted; the wall clock enters only through the
 // injected Clock, so tests with a ManualClock produce byte-reproducible
@@ -80,7 +80,6 @@ type Logger struct {
 	json  bool
 	clk   Clock
 	tool  string
-	runID string
 }
 
 // NewLogger returns a logger writing to w at the given level. jsonMode
@@ -90,32 +89,12 @@ func NewLogger(w io.Writer, level LogLevel, jsonMode bool, tool string, clk Cloc
 	return &Logger{mu: &sync.Mutex{}, w: w, level: level, json: jsonMode, clk: clk, tool: tool}
 }
 
-// WithRun returns a copy of the logger whose JSON records carry the given
-// run id (text output is unchanged). Nil-safe.
-func (l *Logger) WithRun(id string) *Logger {
-	if l == nil {
-		return nil
-	}
-	c := *l
-	c.runID = id
-	return &c
-}
-
-// Level returns the logger's threshold (LevelOff on nil).
-func (l *Logger) Level() LogLevel {
-	if l == nil {
-		return LevelOff
-	}
-	return l.level
-}
-
 // logRecord is the JSON-mode line layout. Field order is fixed by the
 // struct, so records are byte-deterministic given a fixed clock.
 type logRecord struct {
 	TS    string `json:"ts"`
 	Level string `json:"level"`
 	Tool  string `json:"tool,omitempty"`
-	Run   string `json:"run,omitempty"`
 	Msg   string `json:"msg"`
 }
 
@@ -130,7 +109,7 @@ func (l *Logger) log(level LogLevel, format string, args ...any) {
 		fmt.Fprintf(l.w, "%s\n", msg)
 		return
 	}
-	rec := logRecord{Level: level.String(), Tool: l.tool, Run: l.runID, Msg: msg}
+	rec := logRecord{Level: level.String(), Tool: l.tool, Msg: msg}
 	if l.clk != nil {
 		rec.TS = l.clk.Now().UTC().Format(time.RFC3339Nano)
 	}
@@ -142,14 +121,8 @@ func (l *Logger) log(level LogLevel, format string, args ...any) {
 	l.w.Write(append(b, '\n'))
 }
 
-// Debugf logs at debug level.
-func (l *Logger) Debugf(format string, args ...any) { l.log(LevelDebug, format, args...) }
-
 // Infof logs at info level — the level of the pre-logger progress prints.
 func (l *Logger) Infof(format string, args ...any) { l.log(LevelInfo, format, args...) }
-
-// Warnf logs at warn level.
-func (l *Logger) Warnf(format string, args ...any) { l.log(LevelWarn, format, args...) }
 
 // Errorf logs at error level.
 func (l *Logger) Errorf(format string, args ...any) { l.log(LevelError, format, args...) }

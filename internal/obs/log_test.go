@@ -41,23 +41,14 @@ func TestLoggerJSON(t *testing.T) {
 	if b.String() != want {
 		t.Errorf("JSON record:\n got %q\nwant %q", b.String(), want)
 	}
-
-	b.Reset()
-	log.WithRun("cohort-opt-1").Warnf("memo cold")
-	want = `{"ts":"2026-08-08T15:04:05Z","level":"warn","tool":"cohort-opt","run":"cohort-opt-1","msg":"memo cold"}` + "\n"
-	if b.String() != want {
-		t.Errorf("JSON record with run id:\n got %q\nwant %q", b.String(), want)
-	}
 }
 
 func TestLoggerLevels(t *testing.T) {
 	var b strings.Builder
 	log := NewLogger(&b, LevelWarn, false, "t", nil)
-	log.Debugf("hidden")
 	log.Infof("hidden")
-	log.Warnf("visible warn")
 	log.Errorf("visible error")
-	if got, want := b.String(), "visible warn\nvisible error\n"; got != want {
+	if got, want := b.String(), "visible error\n"; got != want {
 		t.Errorf("level gating: got %q, want %q", got, want)
 	}
 
@@ -71,16 +62,8 @@ func TestLoggerLevels(t *testing.T) {
 
 func TestLoggerNil(t *testing.T) {
 	var log *Logger
-	log.Debugf("no panic %d", 1)
-	log.Infof("no panic")
-	log.Warnf("no panic")
+	log.Infof("no panic %d", 1)
 	log.Errorf("no panic")
-	if log.WithRun("id") != nil {
-		t.Errorf("nil WithRun returned non-nil")
-	}
-	if log.Level() != LevelOff {
-		t.Errorf("nil Level() = %v, want off", log.Level())
-	}
 }
 
 func TestParseLogLevel(t *testing.T) {

@@ -206,15 +206,6 @@ func (r *Registry) RegisterCounterFunc(name string, fn func() int64, labels ...L
 	r.put(&entry{name: name, labels: sortedLabels(labels), kind: KindCounter, intFn: fn})
 }
 
-// RegisterFloatFunc exposes a derived float gauge computed by fn at
-// snapshot time. No-op on a nil registry.
-func (r *Registry) RegisterFloatFunc(name string, fn func() float64, labels ...Label) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.put(&entry{name: name, labels: sortedLabels(labels), kind: KindFloat, floatFn: fn})
-}
-
 // RegisterHistogram exposes a component-owned histogram under (name,
 // labels). No-op on a nil registry.
 func (r *Registry) RegisterHistogram(name string, h *stats.Histogram, labels ...Label) {

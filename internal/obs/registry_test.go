@@ -21,7 +21,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	r.RegisterCounter("rc", &Counter{})
 	r.RegisterFunc("rf", func() int64 { return 1 })
 	r.RegisterCounterFunc("rcf", func() int64 { return 1 })
-	r.RegisterFloatFunc("rff", func() float64 { return 1 })
 	r.RegisterHistogram("rh", &stats.Histogram{})
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v", snap)
@@ -79,7 +78,7 @@ func TestSnapshotCanonicalOrder(t *testing.T) {
 			func() { r.Counter("b_metric").Add(2) },
 			func() { r.Counter("a_metric", L("core", "1"), L("zone", "x")).Add(1) },
 			func() { r.Counter("a_metric", L("zone", "x"), L("core", "0")).Add(1) },
-			func() { r.RegisterFloatFunc("ratio", func() float64 { return 0.5 }) },
+			func() { r.FloatGauge("ratio").Set(0.5) },
 		}
 		for _, i := range order {
 			reg[i]()

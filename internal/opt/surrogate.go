@@ -74,7 +74,7 @@ func (e *evaluator) surrogateFitness(genes []config.Timer) float64 {
 			if p.Timed[i] {
 				objective += term
 			} else {
-				objective += c.msiW * term
+				objective += msiObjectiveWeight * term
 			}
 		}
 		if timers[i].Timed() && p.Gamma != nil && p.Gamma[i] > 0 && wcml > p.Gamma[i] {

@@ -133,9 +133,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func (t *Table) widths() []int {
 	w := make([]int, len(t.headers))
 	for i, h := range t.headers {

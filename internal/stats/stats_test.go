@@ -60,9 +60,6 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("Demo", "bench", "value")
 	tb.AddRow("fft", "1.23x")
 	tb.AddRow("ocean") // short row padded
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
 	txt := tb.String()
 	if !strings.Contains(txt, "Demo") || !strings.Contains(txt, "fft") {
 		t.Fatalf("text table:\n%s", txt)

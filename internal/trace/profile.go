@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Profile parameterizes the synthetic workload generator. Each profile is
 // shaped after one SPLASH-2 benchmark used in the paper's evaluation: the
@@ -262,19 +259,4 @@ func pct(a, b int) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-// SortedLineSet returns the distinct line addresses of a stream in ascending
-// order; exported for analysis and tests.
-func SortedLineSet(s Stream, lineBytes int) []uint64 {
-	seen := map[uint64]bool{}
-	for _, a := range s {
-		seen[a.Addr/uint64(lineBytes)] = true
-	}
-	lines := make([]uint64, 0, len(seen))
-	for l := range seen {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
 }

@@ -315,22 +315,6 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortedLineSet(t *testing.T) {
-	s := Stream{
-		{Addr: 0x1000}, {Addr: 0x1004}, {Addr: 0x2000}, {Addr: 0x80},
-	}
-	lines := SortedLineSet(s, 64)
-	want := []uint64{0x80 / 64, 0x1000 / 64, 0x2000 / 64}
-	if len(lines) != len(want) {
-		t.Fatalf("lines = %v, want %v", lines, want)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Fatalf("lines = %v, want %v", lines, want)
-		}
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	p, _ := ProfileByName("fft")
 	tr := p.Scaled(0.005).Generate(2, 64, 1)
