@@ -24,8 +24,11 @@ echo "==> cohort-vet -baseline lint.baseline ./..."
 go run ./cmd/cohort-vet -baseline lint.baseline ./...
 
 echo "==> cohort-vet concurrency analyzers (report artifact)"
+vetdir="$(mktemp -d)"
+trap 'rm -rf "$vetdir"' EXIT
 go run ./cmd/cohort-vet -only lockorder,atomicmix,goleak,ctxflow,syncmisuse \
-  -baseline lint.baseline -json /tmp/concurrency-report.json ./...
+  -baseline lint.baseline -json "$vetdir/concurrency-report.json" ./...
+test -s "$vetdir/concurrency-report.json"
 
 echo "==> seeded concurrency mutants (each analyzer must fail closed)"
 go test -run TestConcurrencyMutants ./internal/lint
@@ -96,7 +99,7 @@ rm -rf "$covdir"
 
 echo "==> observability smoke (manifest + report gate: batched-memo oracle at j1/j8)"
 obsdir="$(mktemp -d)"
-trap 'rm -rf "$obsdir"' EXIT
+trap 'rm -rf "$vetdir" "$obsdir"' EXIT
 # All three runs land in the same directory under the same config key, so
 # -check and the fingerprint diff below gate the optimizer's batched-memo
 # oracle at -j 1 and -j 8 against the committed fingerprints, which the

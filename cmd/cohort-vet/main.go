@@ -25,12 +25,14 @@
 //
 //	go run ./cmd/cohort-vet [flags] [packages]
 //
-// Packages default to ./... and accept any `go list` pattern. The per-package
-// analyzers check only the packages bound by the determinism contract
-// (internal/{sim,core,bus,cache,coherence,memctrl,sched,trace,opt,invariant,
-// model,obs}); the whole-program analyzers see every matched package, so a
-// helper in a cold package that reaches the kernel is still caught. Exit
-// status is 1 when any unbaselined diagnostic is reported.
+// Packages default to ./... and accept any `go list` pattern. The
+// per-package analyzers check only the packages bound by the determinism
+// contract (internal/{sim,core,bus,cache,coherence,memctrl,sched,trace,opt,
+// invariant,model,obs}, defined in internal/lint); the whole-program
+// analyzers see every matched package, so a helper in a cold package that
+// reaches the kernel is still caught. Exit status is 0 when clean, 1 when
+// any unbaselined finding or stale baseline entry is reported, and 2 on
+// usage or load errors.
 //
 // Flags:
 //
@@ -47,37 +49,16 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"cohort/internal/lint"
 )
-
-// contractPackages is the set of import paths bound by the determinism
-// contract for the per-package analyzers. Reporting/CLI packages (stats,
-// experiments, vcd, cmd/*) may legitimately read the clock or format floats;
-// simulator state may not. The whole-program analyzers are not limited by
-// this set: reachability decides.
-var contractPackages = map[string]bool{
-	"cohort/internal/sim":       true,
-	"cohort/internal/core":      true,
-	"cohort/internal/bus":       true,
-	"cohort/internal/cache":     true,
-	"cohort/internal/coherence": true,
-	"cohort/internal/memctrl":   true,
-	"cohort/internal/sched":     true,
-	"cohort/internal/trace":     true,
-	"cohort/internal/opt":       true,
-	"cohort/internal/invariant": true, // runs inside the simulator hot path
-	"cohort/internal/model":     true, // exhaustive exploration must be reproducible
-	// The observability layer feeds deterministic snapshots and traces; its
-	// sole sanctioned wall-clock read (obs.WallClock.Now, manifests only)
-	// carries a //cohort:allow annotation.
-	"cohort/internal/obs": true,
-}
 
 // report is the schema of the -json output.
 type report struct {
@@ -94,184 +75,182 @@ type baselineInfo struct {
 	Stale    []string `json:"stale,omitempty"`
 }
 
-func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	baselinePath := flag.String("baseline", "", "baseline `file` of accepted findings (ratcheted: new findings fail)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the -baseline file from current findings")
-	jsonOut := flag.String("json", "", "write findings as a JSON report to `file` (\"-\" for stdout)")
-	only := flag.String("only", "", "run only these `analyzers` (comma-separated names)")
-	graph := flag.Bool("graph", false, "dump the conservative whole-program call graph and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: cohort-vet [flags] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the determinism lint suite over the simulator packages.\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+// violations reports unbaselined findings or stale baseline entries, already
+// printed to stdout; exitCode maps it to exit status 1.
+type violations struct{ failed, packages int }
 
-	analyzers := lint.Analyzers()
-	if *only != "" {
-		wanted := make(map[string]bool)
-		for _, name := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(name)] = true
+func (v violations) Error() string {
+	return fmt.Sprintf("%d violation(s) across %d package(s)", v.failed, v.packages)
+}
+
+// errFlags marks a flag-parse failure the flag package has already printed.
+var errFlags = errors.New("bad flags")
+
+func main() { os.Exit(exitCode(run(os.Args[1:], os.Stdout), os.Stderr)) }
+
+// exitCode maps run's error to the exit status: 0 when clean (or -h), 1 on
+// violations, 2 on usage and load errors. Errors other than flag-parse
+// failures are printed to stderr as "cohort-vet: err".
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if !errors.Is(err, errFlags) {
+		fmt.Fprintln(stderr, "cohort-vet:", err)
+	}
+	if errors.As(err, new(violations)) {
+		return 1
+	}
+	return 2
+}
+
+// run lints the packages args name and writes findings, reports and
+// listings to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cohort-vet", flag.ContinueOnError)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	baselinePath := fs.String("baseline", "", "baseline `file` of accepted findings (ratcheted: new findings fail)")
+	writeBaseline := fs.Bool("write-baseline", false, "regenerate the -baseline file from current findings")
+	jsonOut := fs.String("json", "", "write findings as a JSON report to `file` (\"-\" for stdout)")
+	only := fs.String("only", "", "run only these `analyzers` (comma-separated names)")
+	graph := fs.Bool("graph", false, "dump the conservative whole-program call graph and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: cohort-vet [flags] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "Runs the determinism lint suite over the simulator packages.\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
-		var selected []*lint.Analyzer
-		for _, a := range analyzers {
-			if wanted[a.Name] {
-				selected = append(selected, a)
-				delete(wanted, a.Name)
-			}
-		}
-		if len(wanted) > 0 {
-			var unknown []string
-			for name := range wanted {
-				unknown = append(unknown, name)
-			}
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "cohort-vet: -only names unknown analyzer(s) %v (see -list)\n", unknown)
-			os.Exit(2)
-		}
-		analyzers = selected
+		return fmt.Errorf("%w: %w", errFlags, err)
+	}
+
+	analyzers, err := selectAnalyzers(*only)
+	if err != nil {
+		return err
 	}
 	if *list {
 		for _, a := range analyzers {
-			kind := "package"
-			if a.RunProgram != nil {
-				kind = "program"
-			}
-			fmt.Printf("%-16s [%s] %s\n", a.Name, kind, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return nil
 	}
 	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "cohort-vet: -write-baseline requires -baseline <file>")
-		os.Exit(2)
+		return errors.New("-write-baseline requires -baseline <file>")
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	prog, err := lint.LoadProgram(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cg, err := lint.BuildGraph(prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	if *graph {
-		cg.Dump(os.Stdout)
-		return
-	}
-
-	cwd, _ := os.Getwd()
-	var findings []lint.Finding
-	collect := func(a *lint.Analyzer, diags []lint.Diagnostic) {
-		for _, d := range diags {
-			pos := prog.Fset.Position(d.Pos)
-			findings = append(findings, lint.RelFinding(a.Name, pos.Filename, pos.Line, pos.Column, d.Message, cwd))
-		}
-	}
-
-	checked := 0
-	for _, pkg := range prog.Pkgs {
-		if !contractPackages[pkg.Path] {
-			continue
-		}
-		checked++
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			diags, err := lint.Run(a, pkg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			collect(a, diags)
-		}
-	}
-	if checked == 0 {
-		fmt.Fprintf(os.Stderr, "cohort-vet: no contract packages matched %v\n", patterns)
-		os.Exit(2)
-	}
-	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		diags, err := lint.RunOnProgram(a, prog, cg)
+		cg, err := lint.BuildGraph(prog)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
-		collect(a, diags)
+		cg.Dump(stdout)
+		return nil
 	}
 
-	rep := report{Packages: len(prog.Pkgs)}
+	cwd, _ := os.Getwd() // without a cwd, findings keep absolute paths
+	findings, contract, err := lint.Vet(prog, analyzers, cwd)
+	if err != nil {
+		return err
+	}
+	rep := report{Packages: len(prog.Pkgs), Findings: findings}
 	for _, a := range analyzers {
 		rep.Analyzers = append(rep.Analyzers, a.Name)
 	}
-	rep.Findings = findings
 
 	if *writeBaseline {
 		if err := os.WriteFile(*baselinePath, lint.FormatBaseline(findings), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
-		fmt.Printf("cohort-vet: wrote %s (%d finding(s))\n", *baselinePath, len(findings))
-		return
+		fmt.Fprintf(stdout, "cohort-vet: wrote %s (%d finding(s))\n", *baselinePath, len(findings))
+		return nil
 	}
 
 	failed := 0
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
 		accepted, err := lint.ParseBaseline(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
 		fresh, stale := lint.DiffBaseline(findings, accepted)
 		rep.Baseline = &baselineInfo{File: *baselinePath, Accepted: len(accepted), Fresh: len(fresh), Stale: stale}
 		for _, f := range fresh {
 			failed++
-			fmt.Printf("%s\n", f)
+			fmt.Fprintf(stdout, "%s\n", f)
 		}
 		for _, k := range stale {
 			failed++
-			fmt.Printf("stale baseline entry (finding no longer fires — prune with -write-baseline): %q\n", k)
+			fmt.Fprintf(stdout, "stale baseline entry (finding no longer fires — prune with -write-baseline): %q\n", k)
 		}
 	} else {
 		for _, f := range findings {
 			failed++
-			fmt.Printf("%s\n", f)
+			fmt.Fprintf(stdout, "%s\n", f)
 		}
 	}
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			return err
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "cohort-vet:", err)
-			os.Exit(2)
+			_, err = stdout.Write(data)
+		} else {
+			err = os.WriteFile(*jsonOut, data, 0o644)
+		}
+		if err != nil {
+			return err
 		}
 	}
 
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "cohort-vet: %d violation(s) across %d package(s)\n", failed, len(prog.Pkgs))
-		os.Exit(1)
+		return violations{failed, len(prog.Pkgs)}
 	}
-	fmt.Printf("cohort-vet: ok (%d packages, %d contract packages, %d analyzers)\n",
-		len(prog.Pkgs), checked, len(analyzers))
+	fmt.Fprintf(stdout, "cohort-vet: ok (%d packages, %d contract packages, %d analyzers)\n",
+		len(prog.Pkgs), contract, len(analyzers))
+	return nil
+}
+
+// selectAnalyzers returns the suite, or with -only the named analyzers in
+// suite order; an unknown name is an error.
+func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
+	analyzers := lint.Analyzers()
+	if only == "" {
+		return analyzers, nil
+	}
+	wanted := make(map[string]bool)
+	for _, name := range strings.Split(only, ",") {
+		wanted[strings.TrimSpace(name)] = true
+	}
+	var selected []*lint.Analyzer
+	for _, a := range analyzers {
+		if wanted[a.Name] {
+			selected = append(selected, a)
+			delete(wanted, a.Name)
+		}
+	}
+	if len(wanted) > 0 {
+		var unknown []string
+		for name := range wanted {
+			unknown = append(unknown, name)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("-only names unknown analyzer(s) %v (see -list)", unknown)
+	}
+	return selected, nil
 }

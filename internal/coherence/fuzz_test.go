@@ -103,8 +103,8 @@ func FuzzModeLUT(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if lut.Modes() != len(entries) || lut.StorageBits() != 16*len(entries) {
-			t.Fatalf("LUT metadata: modes=%d bits=%d for %d entries", lut.Modes(), lut.StorageBits(), len(entries))
+		if lut.Modes() != len(entries) {
+			t.Fatalf("LUT metadata: modes=%d for %d entries", lut.Modes(), len(entries))
 		}
 		th, err := lut.Lookup(mode)
 		if mode < 1 || mode > len(entries) {

@@ -206,7 +206,3 @@ func (l *ModeLUT) Lookup(mode int) (config.Timer, error) {
 
 // Modes returns the number of modes the LUT covers.
 func (l *ModeLUT) Modes() int { return len(l.entries) }
-
-// StorageBits returns the hardware cost of the LUT (16 bits per entry),
-// matching the paper's 80-bit figure for five levels.
-func (l *ModeLUT) StorageBits() int { return 16 * len(l.entries) }

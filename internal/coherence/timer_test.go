@@ -164,9 +164,6 @@ func TestModeLUT(t *testing.T) {
 	if lut.Modes() != 5 {
 		t.Fatalf("Modes = %d", lut.Modes())
 	}
-	if lut.StorageBits() != 80 {
-		t.Fatalf("StorageBits = %d, want 80 (paper's 5-level figure)", lut.StorageBits())
-	}
 	th, err := lut.Lookup(1)
 	if err != nil || th != 300 {
 		t.Fatalf("Lookup(1) = %v, %v", th, err)

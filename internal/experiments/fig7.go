@@ -147,21 +147,17 @@ func Fig7(o Options, benchmark string, stage2Factor, stage3Factor float64) (*Fig
 	if err != nil {
 		return nil, fmt.Errorf("fig7 baseline: %w", err)
 	}
-	sys, err := core.New(cfg, w.tr)
-	if err != nil {
-		return nil, err
-	}
-	if res.Stages[1].Mode > 1 {
-		if err := sys.ScheduleModeSwitch(baseline.Cycles/3, res.Stages[1].Mode); err != nil {
-			return nil, err
+	sys, run, err := simulate(cfg, w, func(sys *core.System) error {
+		if res.Stages[1].Mode > 1 {
+			if err := sys.ScheduleModeSwitch(baseline.Cycles/3, res.Stages[1].Mode); err != nil {
+				return err
+			}
 		}
-	}
-	if res.Stages[2].Mode > res.Stages[1].Mode {
-		if err := sys.ScheduleModeSwitch(2*baseline.Cycles/3, res.Stages[2].Mode); err != nil {
-			return nil, err
+		if res.Stages[2].Mode > res.Stages[1].Mode {
+			return sys.ScheduleModeSwitch(2*baseline.Cycles/3, res.Stages[2].Mode)
 		}
-	}
-	run, err := sys.Run()
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fig7 adaptive run: %w", err)
 	}

@@ -129,22 +129,40 @@ func runSystem(cfg *config.System, w *workload) (*stats.Run, error) {
 	}
 	progress().AddMemoMisses(1)
 
-	sys, err := core.New(cfg, w.tr)
+	_, run, err := simulate(cfg, w, nil)
 	if err != nil {
 		return nil, err
+	}
+	runMemo.Put(key, run)
+	return run, nil
+}
+
+// simulate is the unmemoized build → run → sweep behind every full-system
+// run: it builds a system for cfg on the workload, lets prepare (when
+// non-nil) schedule onto it, runs it, and fails if the post-run coherence
+// sweep finds a violation. It returns the system for callers that read
+// state the run leaves behind.
+func simulate(cfg *config.System, w *workload, prepare func(*core.System) error) (*core.System, *stats.Run, error) {
+	sys, err := core.New(cfg, w.tr)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Thread the live-progress handle into the fresh simulation so the
 	// tracker sees events/cycles advance while the run is in flight.
 	if err := sys.SetProgress(progress()); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if prepare != nil {
+		if err := prepare(sys); err != nil {
+			return nil, nil, err
+		}
 	}
 	run, err := sys.Run()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := sys.CheckCoherence(); err != nil {
-		return nil, fmt.Errorf("experiments: coherence violated: %w", err)
+		return nil, nil, fmt.Errorf("experiments: coherence violated: %w", err)
 	}
-	runMemo.Put(key, run)
-	return run, nil
+	return sys, run, nil
 }

@@ -12,7 +12,7 @@ import "strings"
 // suppresses nothing (the diagnostic it meant to waive fires anyway — or
 // worse, the annotation form drifts and waives too much), and a missing
 // reason makes the waiver unreviewable. This analyzer turns both into build
-// failures in the contract packages.
+// failures in the packages in scope (the contract packages).
 var AllowDocAnalyzer = &Analyzer{
 	Name: "allowdoc",
 	Doc: "require //cohort:allow annotations to use the form " +
@@ -24,39 +24,33 @@ var AllowDocAnalyzer = &Analyzer{
 // initialization cycle.
 func init() { AllowDocAnalyzer.Run = runAllowDoc }
 
-func runAllowDoc(pass *Pass) error {
+func runAllowDoc(pass *Pass) {
 	known := map[string]bool{}
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, "//") {
-					continue // block comments are never annotations
-				}
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "cohort:allow") {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, "cohort:allow"))
-				name, reason, hasColon := strings.Cut(rest, ":")
-				name = strings.TrimSpace(name)
-				switch {
-				case !hasColon || name == "" || strings.ContainsAny(name, " \t"):
-					pass.Reportf(c.Pos(), "malformed allow annotation: canonical form is "+
-						"//cohort:allow <analyzer>: <reason>")
-				case !known[name]:
-					pass.Reportf(c.Pos(), "allow annotation names unknown analyzer %q; "+
-						"it suppresses nothing (registered: %s)", name, analyzerNames())
-				case strings.TrimSpace(reason) == "":
-					pass.Reportf(c.Pos(), "allow annotation for %q has no reason; "+
-						"justify why the construct is safe", name)
-				}
-			}
+	inScope := map[*Package]bool{}
+	for _, pkg := range pass.Pkgs {
+		inScope[pkg] = true
+	}
+	for _, d := range pass.Prog.dirs.list {
+		if d.kind != "allow" || !inScope[d.pkg] {
+			continue
+		}
+		name, reason, hasColon := strings.Cut(d.arg, ":")
+		name = strings.TrimSpace(name)
+		switch {
+		case !hasColon || name == "" || strings.ContainsAny(name, " \t"):
+			pass.Reportf(d.pos, "malformed allow annotation: canonical form is "+
+				"//cohort:allow <analyzer>: <reason>")
+		case !known[name]:
+			pass.Reportf(d.pos, "allow annotation names unknown analyzer %q; "+
+				"it suppresses nothing (registered: %s)", name, analyzerNames())
+		case strings.TrimSpace(reason) == "":
+			pass.Reportf(d.pos, "allow annotation for %q has no reason; "+
+				"justify why the construct is safe", name)
 		}
 	}
-	return nil
 }
 
 // analyzerNames renders the registered roster for diagnostics.

@@ -29,7 +29,7 @@ var AtomicMixAnalyzer = &Analyzer{
 	Name: "atomicmix",
 	Doc: "variables accessed through sync/atomic anywhere must never also be " +
 		"read or written plainly (mixed access defeats the atomicity contract)",
-	RunProgram: runAtomicMix,
+	Run: runAtomicMix,
 }
 
 // atomicUse records one sync/atomic call site touching an object.
@@ -38,7 +38,7 @@ type atomicUse struct {
 	pos token.Pos
 }
 
-func runAtomicMix(pass *ProgramPass) error {
+func runAtomicMix(pass *Pass) {
 	fset := pass.Prog.Fset
 
 	// Pass 1: every object whose address flows into a sync/atomic call, and
@@ -81,7 +81,7 @@ func runAtomicMix(pass *ProgramPass) error {
 		}
 	}
 	if len(atomicObjs) == 0 {
-		return nil
+		return
 	}
 
 	// Pass 2: any other appearance of those objects is a plain access.
@@ -120,7 +120,6 @@ func runAtomicMix(pass *ProgramPass) error {
 		pass.Reportf(p.pos, "%s is accessed atomically (%s at %s) but read/written plainly here; "+
 			"every access must go through sync/atomic", display[p.obj], use.fn, fmtPos(fset, use.pos))
 	}
-	return nil
 }
 
 // markExprIdents records the position of every identifier in the &x operand

@@ -52,7 +52,7 @@ type CGNode struct {
 	Name string
 	Hot  HotKind
 	// Server marks a //cohort:server root: a request-scoped entry point of
-	// the long-running daemon surface. The ctxflow analyzer requires every
+	// the debug server's serve surface. The ctxflow analyzer requires every
 	// blocking operation reachable from a server root to sit in a function
 	// that accepts a context.Context.
 	Server bool
@@ -105,8 +105,9 @@ func (g *Graph) NodeByObj(f *types.Func) *CGNode { return g.byObj[f] }
 func (g *Graph) NodeByLit(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 
 // BuildGraph constructs the conservative call graph for a loaded Program.
-// It fails on a malformed //cohort:hotpath annotation (unknown qualifier):
-// a typo there would silently shrink the checked surface.
+// It fails on a malformed //cohort:hotpath or //cohort:server annotation
+// (unknown or extra qualifier): a typo there would silently change the
+// checked surface.
 func BuildGraph(prog *Program) (*Graph, error) {
 	g := &Graph{
 		Prog:  prog,
@@ -127,11 +128,11 @@ func BuildGraph(prog *Program) (*Graph, error) {
 				if !ok {
 					continue
 				}
-				hot, err := hotAnnotation(prog.Fset, fd.Doc)
+				hot, err := hotAnnotation(prog.Fset, prog.dirs.inDoc(fd.Doc, "hotpath"))
 				if err != nil {
 					return nil, err
 				}
-				server, err := serverAnnotation(prog.Fset, fd.Doc)
+				server, err := serverAnnotation(prog.Fset, prog.dirs.inDoc(fd.Doc, "server"))
 				if err != nil {
 					return nil, err
 				}
@@ -265,30 +266,42 @@ func (g *Graph) addCallEdges(n *CGNode) {
 	}
 }
 
-// resolveCall adds edges for one call expression.
+// resolveCall adds edges for one call expression: an interface method call
+// fans out to every CHA candidate, any other call to its static callee.
 func (g *Graph) resolveCall(n *CGNode, info *types.Info, call *ast.CallExpr) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			n.addCall(g.byObj[origin(f)])
-		}
-	case *ast.SelectorExpr:
+	if fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			recv := sel.Recv()
-			if iface, ok := recv.Underlying().(*types.Interface); ok {
+			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
 				g.addInterfaceEdges(n, iface, sel.Obj().Name())
 				return
 			}
+		}
+	}
+	n.addCall(g.staticCallee(info, call))
+}
+
+// staticCallee resolves a call expression to the declared function it
+// statically targets, or nil: calls through function values, and interface
+// method calls, have no single static target.
+func (g *Graph) staticCallee(info *types.Info, call *ast.CallExpr) *CGNode {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if f, ok := info.Uses[fun].(*types.Func); ok {
+			return g.byObj[origin(f)]
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
 			if f, ok := sel.Obj().(*types.Func); ok {
-				n.addCall(g.byObj[origin(f)])
+				return g.byObj[origin(f)]
 			}
-			return
+			return nil
 		}
 		// Package-qualified call (pkg.Fn) or method expression used directly.
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			n.addCall(g.byObj[origin(f)])
+			return g.byObj[origin(f)]
 		}
 	}
+	return nil
 }
 
 // addInterfaceEdges fans an interface method call out to every concrete
@@ -310,53 +323,37 @@ func (g *Graph) addInterfaceEdges(n *CGNode, iface *types.Interface, method stri
 // declaration object, which is what Defs recorded at the declaration site.
 func origin(f *types.Func) *types.Func { return f.Origin() }
 
-// hotAnnotation parses a //cohort:hotpath annotation out of a doc comment.
-func hotAnnotation(fset *token.FileSet, doc *ast.CommentGroup) (HotKind, error) {
-	if doc == nil {
+// hotAnnotation reads a function's //cohort:hotpath directive (nil when its
+// doc carries none).
+func hotAnnotation(fset *token.FileSet, d *directive) (HotKind, error) {
+	if d == nil {
 		return HotNone, nil
 	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "cohort:hotpath") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "cohort:hotpath"))
-		switch rest {
-		case "":
-			return HotFull, nil
-		case "determinism":
-			return HotDeterminism, nil
-		case "exempt":
-			return HotExempt, nil
-		default:
-			return HotNone, fmt.Errorf("lint: %s: unknown //cohort:hotpath qualifier %q (want none, determinism, or exempt)",
-				fset.Position(c.Pos()), rest)
-		}
+	switch d.arg {
+	case "":
+		return HotFull, nil
+	case "determinism":
+		return HotDeterminism, nil
+	case "exempt":
+		return HotExempt, nil
 	}
-	return HotNone, nil
+	return HotNone, fmt.Errorf("lint: %s: unknown //cohort:hotpath qualifier %q (want none, determinism, or exempt)",
+		fset.Position(d.pos), d.arg)
 }
 
-// serverAnnotation parses a //cohort:server annotation out of a doc comment.
-// The annotation takes no qualifier; trailing text is an error for the same
-// reason an unknown hotpath qualifier is — a typo must not silently shrink
-// (or grow) the checked surface.
-func serverAnnotation(fset *token.FileSet, doc *ast.CommentGroup) (bool, error) {
-	if doc == nil {
+// serverAnnotation reads a function's //cohort:server directive (nil when
+// its doc carries none). The annotation takes no qualifier; trailing text is
+// an error for the same reason an unknown hotpath qualifier is — a typo must
+// not silently shrink (or grow) the checked surface.
+func serverAnnotation(fset *token.FileSet, d *directive) (bool, error) {
+	if d == nil {
 		return false, nil
 	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "cohort:server") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, "cohort:server"))
-		if rest != "" {
-			return false, fmt.Errorf("lint: %s: //cohort:server takes no qualifier, got %q",
-				fset.Position(c.Pos()), rest)
-		}
-		return true, nil
+	if d.arg != "" {
+		return false, fmt.Errorf("lint: %s: //cohort:server takes no qualifier, got %q",
+			fset.Position(d.pos), d.arg)
 	}
-	return false, nil
+	return true, nil
 }
 
 // ServerRoots returns the nodes annotated //cohort:server, in graph order.
@@ -375,6 +372,30 @@ func (g *Graph) ServerRoots() []*CGNode {
 // serves contracts (ctxflow) orthogonal to the hot-path budget. The parent
 // map reconstructs one shortest call path per node; roots map to nil.
 func (g *Graph) ReachableFrom(roots []*CGNode) (map[*CGNode]bool, map[*CGNode]*CGNode) {
+	return reach(roots, false)
+}
+
+// Reachable computes the set of nodes reachable from roots annotated with one
+// of the given kinds, excluding HotExempt nodes (the traversal does not enter
+// them). The returned parent map reconstructs one shortest call path per node
+// for diagnostics; roots map to nil.
+func (g *Graph) Reachable(kinds ...HotKind) (map[*CGNode]bool, map[*CGNode]*CGNode) {
+	want := make(map[HotKind]bool, len(kinds))
+	for _, k := range kinds {
+		want[k] = true
+	}
+	var roots []*CGNode
+	for _, n := range g.Nodes {
+		if want[n.Hot] {
+			roots = append(roots, n)
+		}
+	}
+	return reach(roots, true)
+}
+
+// reach is the BFS behind Reachable and ReachableFrom; cutExempt stops it at
+// HotExempt callees.
+func reach(roots []*CGNode, cutExempt bool) (map[*CGNode]bool, map[*CGNode]*CGNode) {
 	seen := make(map[*CGNode]bool)
 	parent := make(map[*CGNode]*CGNode)
 	var queue []*CGNode
@@ -389,41 +410,7 @@ func (g *Graph) ReachableFrom(roots []*CGNode) (map[*CGNode]bool, map[*CGNode]*C
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range n.Calls {
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
-			parent[c] = n
-			queue = append(queue, c)
-		}
-	}
-	return seen, parent
-}
-
-// Reachable computes the set of nodes reachable from roots annotated with one
-// of the given kinds, excluding HotExempt nodes (the traversal does not enter
-// them). The returned parent map reconstructs one shortest call path per node
-// for diagnostics; roots map to nil.
-func (g *Graph) Reachable(kinds ...HotKind) (map[*CGNode]bool, map[*CGNode]*CGNode) {
-	want := make(map[HotKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	seen := make(map[*CGNode]bool)
-	parent := make(map[*CGNode]*CGNode)
-	var queue []*CGNode
-	for _, n := range g.Nodes {
-		if want[n.Hot] {
-			seen[n] = true
-			parent[n] = nil
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Calls {
-			if seen[c] || c.Hot == HotExempt {
+			if seen[c] || (cutExempt && c.Hot == HotExempt) {
 				continue
 			}
 			seen[c] = true

@@ -192,7 +192,7 @@ func nodeLockEvents(g *Graph, n *CGNode) []lockEvent {
 					}
 				}
 			}
-			if callee := resolveStaticCallee(g, info, st); callee != nil {
+			if callee := g.staticCallee(info, st); callee != nil {
 				events = append(events, lockEvent{kind: evCall, callee: callee, pos: st.Pos()})
 			}
 		}
@@ -208,31 +208,6 @@ func recvIsMutex(fn *types.Func) bool {
 		return false
 	}
 	return isMutexType(sig.Recv().Type())
-}
-
-// resolveStaticCallee resolves a call expression to the single node it
-// statically targets, mirroring Graph.resolveCall but keeping the call
-// position. Interface dispatch fans out to every CHA candidate via the
-// graph's edges; for the lock analyses the first-match resolution here is
-// complemented by the summaries of all edge targets (see lockSummaries).
-func resolveStaticCallee(g *Graph, info *types.Info, call *ast.CallExpr) *CGNode {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return g.byObj[origin(f)]
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return g.byObj[origin(f)]
-			}
-			return nil
-		}
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return g.byObj[origin(f)]
-		}
-	}
-	return nil
 }
 
 // rootObject walks a selector/index/star chain to its base identifier's

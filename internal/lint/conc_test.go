@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-func TestLockOrderGolden(t *testing.T)  { goldenProgram(t, LockOrderAnalyzer, "lockorder") }
-func TestAtomicMixGolden(t *testing.T)  { goldenProgram(t, AtomicMixAnalyzer, "atomicmix") }
-func TestGoLeakGolden(t *testing.T)     { goldenProgram(t, GoLeakAnalyzer, "goleak") }
-func TestCtxFlowGolden(t *testing.T)    { goldenProgram(t, CtxFlowAnalyzer, "ctxflow") }
-func TestSyncMisuseGolden(t *testing.T) { goldenProgram(t, SyncMisuseAnalyzer, "syncmisuse") }
+func TestLockOrderGolden(t *testing.T)  { golden(t, LockOrderAnalyzer, "lockorder") }
+func TestAtomicMixGolden(t *testing.T)  { golden(t, AtomicMixAnalyzer, "atomicmix") }
+func TestGoLeakGolden(t *testing.T)     { golden(t, GoLeakAnalyzer, "goleak") }
+func TestCtxFlowGolden(t *testing.T)    { golden(t, CtxFlowAnalyzer, "ctxflow") }
+func TestSyncMisuseGolden(t *testing.T) { golden(t, SyncMisuseAnalyzer, "syncmisuse") }
 
 // TestServerAnnotationRejectsQualifier mirrors the hotpath-qualifier test:
 // //cohort:server takes no qualifier, and trailing text must fail graph
@@ -84,14 +84,7 @@ func TestConcurrencyMutants(t *testing.T) {
 	for _, m := range concurrencyMutants {
 		t.Run(m.analyzer.Name, func(t *testing.T) {
 			root := filepath.Join("testdata", "mutants", m.analyzer.Name)
-			prog, err := LoadTree(root, "cohort/mutant/"+m.analyzer.Name)
-			if err != nil {
-				t.Fatalf("load %s: %v", root, err)
-			}
-			diags, err := RunOnProgram(m.analyzer, prog, nil)
-			if err != nil {
-				t.Fatalf("run %s: %v", m.analyzer.Name, err)
-			}
+			_, diags := runTree(t, m.analyzer, root, "cohort/mutant/"+m.analyzer.Name)
 			if len(diags) == 0 {
 				t.Fatalf("%s produced no diagnostics on its committed mutant: the analyzer fails open", m.analyzer.Name)
 			}
@@ -181,24 +174,15 @@ func Outer() func() {
 // live module: the repository's own concurrency surface must stay clean
 // without baseline entries.
 func TestConcurrencyAnalyzersOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
+	var analyzers []*Analyzer
+	for _, m := range concurrencyMutants {
+		analyzers = append(analyzers, m.analyzer)
 	}
-	prog, err := LoadProgram("cohort/...")
+	findings, _, err := Vet(loadRepo(t), analyzers, "")
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatal(err)
 	}
-	g, err := BuildGraph(prog)
-	if err != nil {
-		t.Fatalf("build graph: %v", err)
-	}
-	for _, a := range []*Analyzer{LockOrderAnalyzer, AtomicMixAnalyzer, GoLeakAnalyzer, CtxFlowAnalyzer, SyncMisuseAnalyzer} {
-		diags, err := RunOnProgram(a, prog, g)
-		if err != nil {
-			t.Fatalf("run %s: %v", a.Name, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s: %s", a.Name, prog.Fset.Position(d.Pos), d.Message)
-		}
+	for _, f := range findings {
+		t.Error(f)
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"go/types"
 )
 
-// CtxFlowAnalyzer enforces cancellation plumbing on the daemon surface:
-// every function that can block — channel operations, select without a
-// default, WaitGroup/Cond.Wait, time.Sleep, net/http client calls —
-// reachable over the call graph from a //cohort:server root must accept a
-// context.Context, so a request that is cancelled or deadline-expired can
-// stop waiting instead of pinning a worker forever. Roots are the
-// request-scoped entry points of the serve surface (today the debug server's
-// handlers; tomorrow cohort-serve's RPC handlers).
+// CtxFlowAnalyzer enforces cancellation plumbing on the serve surface: every
+// function that can block — channel operations, select without a default,
+// WaitGroup/Cond.Wait, time.Sleep, net/http client calls — reachable over
+// the call graph from a //cohort:server root must accept a context.Context,
+// so a request that is cancelled or deadline-expired can stop waiting
+// instead of pinning a worker forever. Roots are the request-scoped entry
+// points of the serve surface: the debug server's handlers.
 //
 // The rule binds the blocking function itself: accepting a ctx one frame up
 // does not help the frame that actually parks. Mutex Lock is deliberately
@@ -24,14 +23,14 @@ var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc: "functions that block (channel ops, select, Wait, Sleep, http calls) " +
 		"reachable from a //cohort:server root must accept a context.Context",
-	RunProgram: runCtxFlow,
+	Run: runCtxFlow,
 }
 
-func runCtxFlow(pass *ProgramPass) error {
+func runCtxFlow(pass *Pass) {
 	g := pass.Graph
 	roots := g.ServerRoots()
 	if len(roots) == 0 {
-		return nil
+		return
 	}
 	reach, parent := g.ReachableFrom(roots)
 	for _, n := range g.Nodes {
@@ -44,12 +43,11 @@ func runCtxFlow(pass *ProgramPass) error {
 		path := CallPath(parent, n)
 		checkBlockingOps(pass, n, path)
 	}
-	return nil
 }
 
 // checkBlockingOps scans one server-reachable node's own statements for
 // blocking operations.
-func checkBlockingOps(pass *ProgramPass, n *CGNode, path string) {
+func checkBlockingOps(pass *Pass, n *CGNode, path string) {
 	info := n.Pkg.Info
 	root := ast.Node(n.Body)
 	if n.Lit != nil {

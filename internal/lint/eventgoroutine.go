@@ -37,33 +37,34 @@ func simHandler(pkg *types.Package) *types.Interface {
 	return nil
 }
 
-func runEventGoroutine(pass *Pass) error {
-	iface := simHandler(pass.Pkg)
-	if iface == nil {
-		return nil
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "HandleEvent" {
-				continue
-			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if recv := fn.Type().(*types.Signature).Recv(); types.Implements(recv.Type(), iface) {
-				checkEventBody(pass, fd.Body)
+func runEventGoroutine(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		iface := simHandler(pkg.Types)
+		if iface == nil {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != "HandleEvent" {
+					continue
+				}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				if recv := fn.Type().(*types.Signature).Recv(); types.Implements(recv.Type(), iface) {
+					checkEventBody(pass, pkg.Info, fd.Body)
+				}
 			}
 		}
 	}
-	return nil
 }
 
 // checkEventBody reports concurrency constructs anywhere under an event
 // handler body, including nested function literals (they run, or escape,
 // from inside the event).
-func checkEventBody(pass *Pass, body *ast.BlockStmt) {
+func checkEventBody(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt:
@@ -81,7 +82,7 @@ func checkEventBody(pass *Pass, body *ast.BlockStmt) {
 			pass.Reportf(x.Pos(), "select inside a sim.Handler event dispatch; "+
 				"event effects must not depend on the Go scheduler")
 		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(x.X); t != nil {
+			if t := info.TypeOf(x.X); t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
 					pass.Reportf(x.Pos(), "range over channel inside a sim.Handler event dispatch; "+
 						"event effects must not depend on the Go scheduler")
@@ -89,7 +90,7 @@ func checkEventBody(pass *Pass, body *ast.BlockStmt) {
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
 					pass.Reportf(x.Pos(), "channel close inside a sim.Handler event dispatch; "+
 						"event effects must not depend on the Go scheduler")
 				}

@@ -26,61 +26,62 @@ var ExhaustiveAnalyzer = &Analyzer{
 	Run: runExhaustive,
 }
 
-func runExhaustive(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
-				return true
-			}
-			named := enumType(pass.TypesInfo.TypeOf(sw.Tag))
-			if named == nil {
-				return true
-			}
-			members := enumMembers(named, pass.Pkg)
-			if len(members) < 2 {
-				return true
-			}
-			covered := map[int64]bool{}
-			for _, stmt := range sw.Body.List {
-				cc, ok := stmt.(*ast.CaseClause)
-				if !ok {
+func runExhaustive(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok || sw.Tag == nil {
 					return true
 				}
-				if cc.List == nil {
-					return true // default clause: every member is handled
+				named := enumType(pkg.Info.TypeOf(sw.Tag))
+				if named == nil {
+					return true
 				}
-				for _, e := range cc.List {
-					tv, ok := pass.TypesInfo.Types[e]
-					if !ok || tv.Value == nil {
-						return true // non-constant case: coverage undecidable
-					}
-					v, exact := constant.Int64Val(constant.ToInt(tv.Value))
-					if !exact {
+				members := enumMembers(named, pkg.Types)
+				if len(members) < 2 {
+					return true
+				}
+				covered := map[int64]bool{}
+				for _, stmt := range sw.Body.List {
+					cc, ok := stmt.(*ast.CaseClause)
+					if !ok {
 						return true
 					}
-					covered[v] = true
+					if cc.List == nil {
+						return true // default clause: every member is handled
+					}
+					for _, e := range cc.List {
+						tv, ok := pkg.Info.Types[e]
+						if !ok || tv.Value == nil {
+							return true // non-constant case: coverage undecidable
+						}
+						v, exact := constant.Int64Val(constant.ToInt(tv.Value))
+						if !exact {
+							return true
+						}
+						covered[v] = true
+					}
 				}
-			}
-			var missing []string
-			reported := map[int64]bool{}
-			for _, m := range members {
-				if covered[m.val] || reported[m.val] {
-					continue
+				var missing []string
+				reported := map[int64]bool{}
+				for _, m := range members {
+					if covered[m.val] || reported[m.val] {
+						continue
+					}
+					reported[m.val] = true
+					missing = append(missing, m.name)
 				}
-				reported[m.val] = true
-				missing = append(missing, m.name)
-			}
-			if len(missing) > 0 {
-				pass.Reportf(sw.Switch, "switch over %s does not cover %s and has no default; "+
-					"handle the missing members, add a default, or annotate with "+
-					"//cohort:allow exhaustive: <reason>",
-					named.Obj().Name(), strings.Join(missing, ", "))
-			}
-			return true
-		})
+				if len(missing) > 0 {
+					pass.Reportf(sw.Switch, "switch over %s does not cover %s and has no default; "+
+						"handle the missing members, add a default, or annotate with "+
+						"//cohort:allow exhaustive: <reason>",
+						named.Obj().Name(), strings.Join(missing, ", "))
+				}
+				return true
+			})
+		}
 	}
-	return nil
 }
 
 type enumMember struct {

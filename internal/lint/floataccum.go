@@ -20,42 +20,43 @@ var FloatAccumAnalyzer = &Analyzer{
 	Run: runFloatAccum,
 }
 
-func runFloatAccum(pass *Pass) error {
-	cycle := lookupCycleType(pass)
-	if cycle == nil {
-		return nil // package neither defines nor imports sim.Cycle
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
+func runFloatAccum(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		cycle := lookupCycleType(pkg.Types)
+		if cycle == nil {
+			continue // package neither defines nor imports sim.Cycle
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				tv, ok := pkg.Info.Types[call.Fun]
+				if !ok || !tv.IsType() || !types.Identical(tv.Type, cycle) {
+					return true
+				}
+				if src := floatSourceInfo(pkg.Info, call.Args[0]); src != nil {
+					pass.Reportf(call.Pos(), "floating-point value converted into sim.Cycle; "+
+						"cycle/latency arithmetic must stay in exact integer math")
+				}
 				return true
-			}
-			tv, ok := pass.TypesInfo.Types[call.Fun]
-			if !ok || !tv.IsType() || !types.Identical(tv.Type, cycle) {
-				return true
-			}
-			if src := floatSourceInfo(pass.TypesInfo, call.Args[0]); src != nil {
-				pass.Reportf(call.Pos(), "floating-point value converted into sim.Cycle; "+
-					"cycle/latency arithmetic must stay in exact integer math")
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
 // lookupCycleType finds the sim.Cycle named type visible to this package:
 // its own definition when the package is internal/sim, or the imported one.
-func lookupCycleType(pass *Pass) types.Type {
-	scope := pass.Pkg.Scope()
-	if pass.Pkg.Path() == "cohort/internal/sim" {
+func lookupCycleType(pkg *types.Package) types.Type {
+	scope := pkg.Scope()
+	if pkg.Path() == "cohort/internal/sim" {
 		if obj := scope.Lookup("Cycle"); obj != nil {
 			return obj.Type()
 		}
 		return nil
 	}
-	for _, imp := range pass.Pkg.Imports() {
+	for _, imp := range pkg.Imports() {
 		if imp.Path() == "cohort/internal/sim" {
 			if obj := imp.Scope().Lookup("Cycle"); obj != nil {
 				return obj.Type()

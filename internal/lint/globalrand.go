@@ -30,33 +30,34 @@ var GlobalRandAnalyzer = &Analyzer{
 	Run: runGlobalRand,
 }
 
-func runGlobalRand(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+func runGlobalRand(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				path := fn.Pkg().Path()
+				if path != "math/rand" && path != "math/rand/v2" {
+					return true
+				}
+				// Methods on *rand.Rand (seeded instances) are fine; only
+				// package-level functions touch the global source.
+				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+					return true
+				}
+				if randConstructors[fn.Name()] {
+					return true
+				}
+				pass.Reportf(sel.Pos(), "global rand.%s draws from the shared auto-seeded source; "+
+					"use an explicitly seeded *rand.Rand or trace.RNG passed through config", fn.Name())
 				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			path := fn.Pkg().Path()
-			if path != "math/rand" && path != "math/rand/v2" {
-				return true
-			}
-			// Methods on *rand.Rand (seeded instances) are fine; only
-			// package-level functions touch the global source.
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return true
-			}
-			if randConstructors[fn.Name()] {
-				return true
-			}
-			pass.Reportf(sel.Pos(), "global rand.%s draws from the shared auto-seeded source; "+
-				"use an explicitly seeded *rand.Rand or trace.RNG passed through config", fn.Name())
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }

@@ -31,10 +31,10 @@ var GoLeakAnalyzer = &Analyzer{
 	Name: "goleak",
 	Doc: "every go statement must have a statically visible join or cancel path " +
 		"(WaitGroup.Wait, channel receive/select, context.Context, or owner Close/Shutdown/Stop)",
-	RunProgram: runGoLeak,
+	Run: runGoLeak,
 }
 
-func runGoLeak(pass *ProgramPass) error {
+func runGoLeak(pass *Pass) {
 	for _, pkg := range pass.Prog.Pkgs {
 		info := pkg.Info
 		for _, f := range pkg.Files {
@@ -57,7 +57,6 @@ func runGoLeak(pass *ProgramPass) error {
 			})
 		}
 	}
-	return nil
 }
 
 // spawnJoined applies the join heuristics for one go statement.

@@ -27,10 +27,10 @@ var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid allocation sites in functions reachable from //cohort:hotpath " +
 		"roots (static complement to the runtime allocation ceiling)",
-	RunProgram: runHotAlloc,
+	Run: runHotAlloc,
 }
 
-func runHotAlloc(pass *ProgramPass) error {
+func runHotAlloc(pass *Pass) {
 	reach, parent := pass.Graph.Reachable(HotFull)
 	for _, n := range pass.Graph.Nodes {
 		if !reach[n] {
@@ -39,11 +39,10 @@ func runHotAlloc(pass *ProgramPass) error {
 		path := CallPath(parent, n)
 		checkAllocs(pass, n, path)
 	}
-	return nil
 }
 
 // checkAllocs scans one node's own statements for allocation sites.
-func checkAllocs(pass *ProgramPass, n *CGNode, path string) {
+func checkAllocs(pass *Pass, n *CGNode, path string) {
 	info := n.Pkg.Info
 	report := func(pos token.Pos, what string) {
 		pass.Reportf(pos, "%s in hot path (%s)", what, path)
@@ -104,7 +103,7 @@ func checkAllocs(pass *ProgramPass, n *CGNode, path string) {
 
 // checkCallAlloc handles builtins, conversions, boxing at call boundaries and
 // variadic argument slices. Returns false to prune traversal (panic args).
-func checkCallAlloc(pass *ProgramPass, info *types.Info, call *ast.CallExpr, report func(token.Pos, string)) bool {
+func checkCallAlloc(pass *Pass, info *types.Info, call *ast.CallExpr, report func(token.Pos, string)) bool {
 	fun := ast.Unparen(call.Fun)
 	if id, ok := fun.(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {

@@ -4,8 +4,10 @@
 // iteration in a hot path, a wall-clock read, or an unseeded random source
 // would silently produce runs that differ between executions while every test
 // still passes. The analyzers in this package enforce that contract
-// mechanically over the simulator packages (internal/{sim,core,bus,cache,
-// coherence,memctrl,sched,trace,opt}).
+// mechanically: per package over the contract packages (the simulator,
+// internal/{sim,core,bus,cache,coherence,memctrl,sched,trace,opt}, plus
+// internal/{invariant,model,obs}), and over the whole program along the
+// conservative call graph. Vet is the driver behind cmd/cohort-vet.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only, so
@@ -24,12 +26,12 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding of an analyzer.
@@ -38,77 +40,40 @@ type Diagnostic struct {
 	Message string
 }
 
-// Pass carries one analyzer's view of a single type-checked package.
+// Pass carries one analyzer's view of a loaded Program: the conservative
+// call graph built over it, the packages in scope, and Reportf.
+// Per-package analyzers loop over Pkgs; whole-program analyzers walk
+// Prog.Pkgs and Graph, so reachability rather than the scope decides what
+// they check.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Analyzer *Analyzer
+	Prog     *Program
+	Graph    *Graph
+	// Pkgs are the packages in scope for per-package checks: the contract
+	// packages under cohort-vet, the whole tree in the golden tests.
+	Pkgs []*Package
 
 	diags []Diagnostic
-	allow map[allowKey]bool
 }
 
-// Analyzer is one determinism check. Exactly one of Run (per-package,
-// syntactic) and RunProgram (whole-program, over the conservative call graph)
-// is set.
+// Analyzer is one determinism check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow-annotations.
 	Name string
 	// Doc is a one-paragraph description of the rule and its rationale.
 	Doc string
-	// Run reports diagnostics for one package via pass.Reportf.
-	Run func(pass *Pass) error
-	// RunProgram reports diagnostics over a whole Program via pass.Reportf.
-	RunProgram func(pass *ProgramPass) error
+	// Run reports diagnostics via pass.Reportf.
+	Run func(pass *Pass)
 }
 
-// Reportf records a diagnostic unless an allow-annotation suppresses it.
+// Reportf records a diagnostic unless a //cohort:allow annotation naming
+// this pass's analyzer covers its line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allowedAt(pos) {
+	pp := p.Prog.Fset.Position(pos)
+	if p.Prog.dirs.allow[allowKey{lineKey{pp.Filename, pp.Line}, p.Analyzer.Name}] {
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-type allowKey struct {
-	file string
-	line int
-}
-
-// buildAllowIndex scans the package comments for //cohort:allow annotations
-// naming this pass's analyzer and records the source lines they cover (the
-// annotation line itself and the line after it).
-func (p *Pass) buildAllowIndex() {
-	p.allow = make(map[allowKey]bool)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "cohort:allow") {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, "cohort:allow"))
-				// The canonical form is "cohort:allow <analyzer>: <reason>"
-				// (enforced by the allowdoc analyzer); the bare-name legacy
-				// form still matches so a migration cannot un-suppress.
-				if len(fields) == 0 || strings.TrimSuffix(fields[0], ":") != p.Analyzer.Name {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				p.allow[allowKey{pos.Filename, pos.Line}] = true
-				p.allow[allowKey{pos.Filename, pos.Line + 1}] = true
-			}
-		}
-	}
-}
-
-// allowedAt reports whether an annotation suppresses diagnostics at pos.
-func (p *Pass) allowedAt(pos token.Pos) bool {
-	pp := p.Fset.Position(pos)
-	return p.allow[allowKey{pp.Filename, pp.Line}]
 }
 
 // Analyzers returns the full determinism suite in a stable order: the
@@ -134,36 +99,78 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// ProgramAnalyzers returns the whole-program subset of the suite.
-func ProgramAnalyzers() []*Analyzer {
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if a.RunProgram != nil {
-			out = append(out, a)
+// Run executes one analyzer over prog, with g its call graph and scope the
+// packages in scope, and returns the diagnostics sorted by file position.
+func Run(a *Analyzer, prog *Program, g *Graph, scope []*Package) []Diagnostic {
+	pass := &Pass{Analyzer: a, Prog: prog, Graph: g, Pkgs: scope}
+	a.Run(pass)
+	fset := prog.Fset
+	sort.Slice(pass.diags, func(i, j int) bool {
+		pi, pj := fset.Position(pass.diags[i].Pos), fset.Position(pass.diags[j].Pos)
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
 		}
-	}
-	return out
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		if pi.Column != pj.Column {
+			return pi.Column < pj.Column
+		}
+		return pass.diags[i].Message < pass.diags[j].Message
+	})
+	return pass.diags
 }
 
-// Run executes one analyzer over a loaded package and returns its
-// diagnostics sorted by position.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	if a.Run == nil {
-		return nil, fmt.Errorf("lint: %s is a whole-program analyzer; use RunOnProgram", a.Name)
+// contractPackages is the set of import paths bound by the determinism
+// contract: the packages in scope for the per-package analyzers.
+// Reporting/CLI packages (stats, experiments, vcd, cmd/*) may legitimately
+// read the clock or format floats; simulator state may not. The
+// whole-program analyzers are not limited by this set: reachability decides.
+var contractPackages = map[string]bool{
+	"cohort/internal/sim":       true,
+	"cohort/internal/core":      true,
+	"cohort/internal/bus":       true,
+	"cohort/internal/cache":     true,
+	"cohort/internal/coherence": true,
+	"cohort/internal/memctrl":   true,
+	"cohort/internal/sched":     true,
+	"cohort/internal/trace":     true,
+	"cohort/internal/opt":       true,
+	"cohort/internal/invariant": true, // runs inside the simulator hot path
+	"cohort/internal/model":     true, // exhaustive exploration must be reproducible
+	// The observability layer feeds deterministic snapshots and traces; its
+	// sole sanctioned wall-clock read (obs.WallClock.Now, manifests only)
+	// carries a //cohort:allow annotation.
+	"cohort/internal/obs": true,
+}
+
+// Vet is the cohort-vet driver: it builds prog's call graph once, runs each
+// analyzer over prog with the loaded contract packages in scope, and returns
+// the findings in analyzer order, with file paths relative to root, plus the
+// number of contract packages checked. Loading no contract package at all is
+// an error: the per-package analyzers would check nothing.
+func Vet(prog *Program, analyzers []*Analyzer, root string) ([]Finding, int, error) {
+	g, err := BuildGraph(prog)
+	if err != nil {
+		return nil, 0, err
 	}
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
+	var scope []*Package
+	for _, pkg := range prog.Pkgs {
+		if contractPackages[pkg.Path] {
+			scope = append(scope, pkg)
+		}
 	}
-	pass.buildAllowIndex()
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+	if len(scope) == 0 {
+		return nil, 0, errors.New("lint: no contract packages loaded")
 	}
-	sort.Slice(pass.diags, func(i, j int) bool { return pass.diags[i].Pos < pass.diags[j].Pos })
-	return pass.diags, nil
+	var findings []Finding
+	for _, a := range analyzers {
+		for _, d := range Run(a, prog, g, scope) {
+			pos := prog.Fset.Position(d.Pos)
+			findings = append(findings, RelFinding(a.Name, pos.Filename, pos.Line, pos.Column, d.Message, root))
+		}
+	}
+	return findings, len(scope), nil
 }
 
 // inspectWithStack walks the AST keeping the ancestor stack, calling fn with

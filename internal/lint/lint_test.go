@@ -3,39 +3,64 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// golden runs one analyzer over a testdata package and compares its
-// diagnostics against the `// want "regexp"` expectations in the sources —
-// a stdlib re-implementation of the analysistest contract: every want line
-// must produce a matching diagnostic, and every diagnostic must land on a
-// want line.
+// golden runs one analyzer over a testdata tree — one package, or several
+// whose cross-imports share type objects — and compares its diagnostics
+// against the `// want "regexp"` expectations in the sources: a stdlib
+// re-implementation of the analysistest contract. Every want line must
+// produce a matching diagnostic, and every diagnostic must land on a want
+// line.
 func golden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", name)
-	pkg := loadPackage(t, dir, "cohort/lint-testdata/"+name)
-	diags, err := Run(a, pkg)
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
+	prog, diags := runTree(t, a, filepath.Join("testdata", "src", name), "cohort/lint-testdata/"+name)
+	var all []*ast.File
+	for _, pkg := range prog.Pkgs {
+		all = append(all, pkg.Files...)
 	}
-	checkWants(t, pkg.Fset, pkg.Files, diags)
+	checkWants(t, prog.Fset, all, diags)
 }
 
-// loadPackage loads the one package in dir, a testdata directory `go list`
-// does not see, under the given import path.
-func loadPackage(t *testing.T, dir, path string) *Package {
+// runTree loads the packages under root as one Program with import paths
+// under base, builds its call graph, and runs one analyzer with every
+// package in scope.
+func runTree(t *testing.T, a *Analyzer, root, base string) (*Program, []Diagnostic) {
 	t.Helper()
-	prog, err := LoadTree(dir, path)
+	prog, err := LoadTree(root, base)
 	if err != nil {
-		t.Fatalf("load %s: %v", dir, err)
+		t.Fatalf("load %s: %v", root, err)
 	}
-	return prog.Package(path)
+	g, err := BuildGraph(prog)
+	if err != nil {
+		t.Fatalf("build graph: %v", err)
+	}
+	return prog, Run(a, prog, g, prog.Pkgs)
+}
+
+// repo memoizes the live module's Program for the tests that lint it.
+var repo struct {
+	once sync.Once
+	prog *Program
+	err  error
+}
+
+// loadRepo type-checks the whole module once per test binary.
+func loadRepo(t *testing.T) *Program {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	repo.once.Do(func() { repo.prog, repo.err = LoadProgram("cohort/...") })
+	if repo.err != nil {
+		t.Fatalf("load: %v", repo.err)
+	}
+	return repo.prog
 }
 
 // checkWants compares diagnostics against the `// want "regexp"` expectations
@@ -105,8 +130,8 @@ func TestAnalyzerMetadata(t *testing.T) {
 		if a.Name == "" || a.Doc == "" {
 			t.Errorf("analyzer %+v incomplete", a)
 		}
-		if (a.Run == nil) == (a.RunProgram == nil) {
-			t.Errorf("analyzer %q must set exactly one of Run (per-package) and RunProgram (whole-program)", a.Name)
+		if a.Run == nil {
+			t.Errorf("analyzer %q has no Run", a.Name)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)
@@ -124,91 +149,59 @@ func TestAnalyzerMetadata(t *testing.T) {
 // `go run ./cmd/cohort-vet ./...`: the simulator packages themselves must
 // satisfy the determinism contract.
 func TestRepositoryLintsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	contract := map[string]bool{
-		"cohort/internal/sim":       true,
-		"cohort/internal/core":      true,
-		"cohort/internal/bus":       true,
-		"cohort/internal/cache":     true,
-		"cohort/internal/coherence": true,
-		"cohort/internal/memctrl":   true,
-		"cohort/internal/sched":     true,
-		"cohort/internal/trace":     true,
-		"cohort/internal/opt":       true,
-		"cohort/internal/invariant": true,
-		"cohort/internal/model":     true,
-	}
-	prog, err := LoadProgram("cohort/...")
+	findings, contract, err := Vet(loadRepo(t), Analyzers(), "")
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatal(err)
 	}
-	g, err := BuildGraph(prog)
-	if err != nil {
-		t.Fatalf("build graph: %v", err)
+	for _, f := range findings {
+		t.Error(f)
 	}
-	checked := 0
-	for _, pkg := range prog.Pkgs {
-		if !contract[pkg.Path] {
-			continue
-		}
-		checked++
-		for _, a := range Analyzers() {
-			if a.Run == nil {
-				continue
-			}
-			diags, err := Run(a, pkg)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
-			}
-			for _, d := range diags {
-				t.Errorf("%s: %s [%s]", pkg.Fset.Position(d.Pos), d.Message, a.Name)
-			}
-		}
-	}
-	if checked != len(contract) {
-		t.Errorf("checked %d contract packages, want %d", checked, len(contract))
-	}
-	for _, a := range ProgramAnalyzers() {
-		diags, err := RunOnProgram(a, prog, g)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s [%s]", prog.Fset.Position(d.Pos), d.Message, a.Name)
-		}
+	if contract != len(contractPackages) {
+		t.Errorf("checked %d contract packages, want %d", contract, len(contractPackages))
 	}
 }
 
 // TestAllowAnnotationScope checks the annotation only suppresses the named
 // analyzer, not the whole suite.
 func TestAllowAnnotationScope(t *testing.T) {
+	files := map[string]string{"scope.go": `package scope
+
+import "time"
+
+func f(m map[int]int) time.Time {
+	//cohort:allow maprange: counting only
+	for range m {
+	}
+	return time.Now()
+}
+`}
+	if msgs := runSeeded(t, MapRangeAnalyzer, files); len(msgs) != 0 {
+		t.Errorf("maprange not suppressed by annotation: %v", msgs)
+	}
+	if msgs := runSeeded(t, WallTimeAnalyzer, files); len(msgs) != 1 {
+		t.Errorf("walltime diagnostics = %v, want 1 (annotation must not leak across analyzers)", msgs)
+	}
+}
+
+// TestAllowDocScope: allowdoc checks only the annotations of the packages
+// in scope (the contract packages, under cohort-vet).
+func TestAllowDocScope(t *testing.T) {
 	dir := t.TempDir()
-	src := strings.Join([]string{
-		"package scope",
-		"import \"time\"",
-		"func f(m map[int]int) time.Time {",
-		"\t//cohort:allow maprange: counting only",
-		"\tfor range m {",
-		"\t}",
-		"\treturn time.Now()",
-		"}",
-		"",
-	}, "\n")
-	if err := writeFile(filepath.Join(dir, "scope.go"), src); err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadPackage(t, dir, "cohort/lint-testdata/scope")
-	if diags, _ := Run(MapRangeAnalyzer, pkg); len(diags) != 0 {
-		t.Errorf("maprange not suppressed by annotation: %v", diags)
-	}
-	diags, err := Run(WallTimeAnalyzer, pkg)
+	writeTree(t, dir, map[string]string{
+		"in/in.go":   "package in\n\n//cohort:allow maprange no colon\nfunc F() {}\n",
+		"out/out.go": "package out\n\n//cohort:allow maprange no colon\nfunc G() {}\n",
+	})
+	prog, err := LoadTree(dir, "cohort/seeded")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 {
-		t.Errorf("walltime diagnostics = %d, want 1 (annotation must not leak across analyzers)", len(diags))
+	g, err := BuildGraph(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Run(AllowDocAnalyzer, prog, g, []*Package{prog.Package("cohort/seeded/in")})
+	if len(diags) != 1 || !strings.HasSuffix(prog.Fset.Position(diags[0].Pos).Filename, "in.go") {
+		t.Fatalf("allowdoc diagnostics = %v, want one, in the package in scope", diagMessages(diags))
 	}
 }
 
@@ -216,26 +209,12 @@ func TestAllowAnnotationScope(t *testing.T) {
 // the golden (a `// want` marker appended to the annotation would itself
 // become the reason text).
 func TestAllowDocEmptyReason(t *testing.T) {
-	dir := t.TempDir()
-	src := strings.Join([]string{
-		"package reason",
-		"//cohort:allow walltime:",
-		"func f() {}",
-		"",
-	}, "\n")
-	if err := writeFile(filepath.Join(dir, "reason.go"), src); err != nil {
-		t.Fatal(err)
-	}
-	pkg := loadPackage(t, dir, "cohort/lint-testdata/reason")
-	diags, err := Run(AllowDocAnalyzer, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no reason") {
-		t.Fatalf("empty-reason annotation diagnostics = %v, want one 'no reason' finding", diags)
-	}
-}
+	msgs := runSeeded(t, AllowDocAnalyzer, map[string]string{"reason.go": `package reason
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+//cohort:allow walltime:
+func f() {}
+`})
+	if len(msgs) != 1 || !strings.Contains(msgs[0], "no reason") {
+		t.Fatalf("empty-reason annotation diagnostics = %v, want one 'no reason' finding", msgs)
+	}
 }

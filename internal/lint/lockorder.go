@@ -36,7 +36,7 @@ var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "derive the global mutex-acquisition order graph over the whole-program " +
 		"call graph and report cycles (potential deadlocks) with both acquisition paths",
-	RunProgram: runLockOrder,
+	Run: runLockOrder,
 }
 
 // lockAcq records how one node (transitively) acquires one lock class.
@@ -53,7 +53,7 @@ type lockEdge struct {
 	path     string    // rendered call chain from the holding function to the Lock
 }
 
-func runLockOrder(pass *ProgramPass) error {
+func runLockOrder(pass *Pass) {
 	g := pass.Graph
 	fset := pass.Prog.Fset
 
@@ -122,7 +122,6 @@ func runLockOrder(pass *ProgramPass) error {
 	}
 
 	reportLockCycles(pass, fset, edges, order, displays)
-	return nil
 }
 
 // lockSummaries computes, per node, the set of lock classes the node
@@ -197,7 +196,7 @@ func renderAcqPath(fset *token.FileSet, summaries map[*CGNode]map[types.Object]l
 // reportLockCycles finds cycles in the lock-order graph and reports each
 // once, anchored at the first edge's acquisition site, with every edge's
 // acquisition path in the message.
-func reportLockCycles(pass *ProgramPass, fset *token.FileSet, edges map[[2]types.Object]*lockEdge, order map[types.Object][]types.Object, displays map[types.Object]string) {
+func reportLockCycles(pass *Pass, fset *token.FileSet, edges map[[2]types.Object]*lockEdge, order map[types.Object][]types.Object, displays map[types.Object]string) {
 	starts := make(map[types.Object]string, len(order))
 	//cohort:allow maprange: collect-then-sort via sortedLockObjects
 	for o := range order {
@@ -243,7 +242,7 @@ func minDisplay(cycle []types.Object, displays map[types.Object]string) string {
 	return min
 }
 
-func reportOneCycle(pass *ProgramPass, fset *token.FileSet, cycle []types.Object, edges map[[2]types.Object]*lockEdge, displays map[types.Object]string, reported map[string]bool) {
+func reportOneCycle(pass *Pass, fset *token.FileSet, cycle []types.Object, edges map[[2]types.Object]*lockEdge, displays map[types.Object]string, reported map[string]bool) {
 	names := make([]string, len(cycle))
 	for i, o := range cycle {
 		names[i] = displays[o]

@@ -20,30 +20,31 @@ var MapRangeAnalyzer = &Analyzer{
 	Run: runMapRange,
 }
 
-func runMapRange(pass *Pass) error {
-	for _, f := range pass.Files {
-		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+func runMapRange(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				t := pkg.Info.TypeOf(rs.X)
+				if t == nil {
+					return true
+				}
+				if _, isMap := t.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if collectThenSort(pkg.Info, rs, funcBody(enclosingFunc(stack))) {
+					return true
+				}
+				pass.Reportf(rs.Pos(), "range over map %s is non-deterministic; sort the keys first, "+
+					"or annotate the loop with //cohort:allow maprange: <reason> if the body is order-insensitive",
+					typeLabel(rs.X))
 				return true
-			}
-			t := pass.TypesInfo.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if collectThenSort(pass.TypesInfo, rs, funcBody(enclosingFunc(stack))) {
-				return true
-			}
-			pass.Reportf(rs.Pos(), "range over map %s is non-deterministic; sort the keys first, "+
-				"or annotate the loop with //cohort:allow maprange: <reason> if the body is order-insensitive",
-				typeLabel(rs.X))
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }
 
 // typeLabel renders the ranged expression compactly for the message.

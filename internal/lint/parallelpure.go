@@ -28,10 +28,10 @@ var ParallelPureAnalyzer = &Analyzer{
 	Name: "parallelpure",
 	Doc: "closures passed to parallel.Map/MapErr may write only through their " +
 		"index-addressed result slot (captured[i] with i the job-index parameter)",
-	RunProgram: runParallelPure,
+	Run: runParallelPure,
 }
 
-func runParallelPure(pass *ProgramPass) error {
+func runParallelPure(pass *Pass) {
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -52,7 +52,6 @@ func runParallelPure(pass *ProgramPass) error {
 			})
 		}
 	}
-	return nil
 }
 
 // isParallelMap matches parallel.Map / parallel.MapErr from the repo's
@@ -68,7 +67,7 @@ func isParallelMap(fn *types.Func) bool {
 // checkJobPurity walks one job closure (including nested literals, which run
 // inside the same job) and reports writes through captured variables that do
 // not target the closure's index-addressed slot.
-func checkJobPurity(pass *ProgramPass, info *types.Info, lit *ast.FuncLit, callee string) {
+func checkJobPurity(pass *Pass, info *types.Info, lit *ast.FuncLit, callee string) {
 	idxParam := jobIndexParam(info, lit)
 	captured := func(id *ast.Ident) types.Object {
 		obj := info.Uses[id]

@@ -19,8 +19,8 @@ import (
 // package's Uses map is pointer-identical to the one in the defining
 // package's Defs map. That identity is what lets the call graph
 // (callgraph.go) follow an edge from a call site in internal/experiments into
-// a method declared in internal/core. The per-package Load path
-// (load.go) cannot provide it: its source importer re-checks imported
+// a method declared in internal/core. Loading packages one at a time through
+// the source importer cannot provide it: that importer re-checks imported
 // packages privately, so cross-package objects never match.
 type Program struct {
 	Fset *token.FileSet
@@ -30,6 +30,7 @@ type Program struct {
 	Pkgs []*Package
 
 	byPath map[string]*Package
+	dirs   directives // the //cohort: comments of Pkgs, parsed at load
 }
 
 // Package returns the loaded package with the given import path, or nil.
@@ -122,6 +123,7 @@ func LoadProgram(patterns ...string) (*Program, error) {
 		}
 		prog.Pkgs = append(prog.Pkgs, pkg)
 	}
+	prog.indexDirectives()
 	return prog, nil
 }
 
@@ -219,91 +221,6 @@ func LoadTree(root, base string) (*Program, error) {
 		}
 		prog.Pkgs = append(prog.Pkgs, ti.checked[path])
 	}
+	prog.indexDirectives()
 	return prog, nil
-}
-
-// ProgramPass carries one whole-program analyzer's view of a Program: every
-// package at once, plus the conservative call graph built over them.
-// Reportf honours //cohort:allow annotations exactly like the per-package
-// Pass, with the allow index spanning every file in the program.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	Graph    *Graph
-
-	diags []Diagnostic
-	allow map[allowKey]bool
-}
-
-// Reportf records a diagnostic unless an allow-annotation suppresses it.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allow[posKey(p.Prog.Fset, pos)] {
-		return
-	}
-	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-func posKey(fset *token.FileSet, pos token.Pos) allowKey {
-	pp := fset.Position(pos)
-	return allowKey{pp.Filename, pp.Line}
-}
-
-func (p *ProgramPass) buildAllowIndex() {
-	p.allow = make(map[allowKey]bool)
-	for _, pkg := range p.Prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, "cohort:allow") {
-						continue
-					}
-					fields := strings.Fields(strings.TrimPrefix(text, "cohort:allow"))
-					if len(fields) == 0 || strings.TrimSuffix(fields[0], ":") != p.Analyzer.Name {
-						continue
-					}
-					pos := p.Prog.Fset.Position(c.Pos())
-					p.allow[allowKey{pos.Filename, pos.Line}] = true
-					p.allow[allowKey{pos.Filename, pos.Line + 1}] = true
-				}
-			}
-		}
-	}
-}
-
-// RunOnProgram executes one whole-program analyzer over a loaded Program and
-// returns its diagnostics sorted by file position. The caller supplies the
-// call graph so the (expensive) graph construction is shared between
-// analyzers; pass nil to have one built on the fly.
-func RunOnProgram(a *Analyzer, prog *Program, g *Graph) ([]Diagnostic, error) {
-	if a.RunProgram == nil {
-		return nil, fmt.Errorf("lint: %s is not a whole-program analyzer", a.Name)
-	}
-	if g == nil {
-		var err error
-		g, err = BuildGraph(prog)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pass := &ProgramPass{Analyzer: a, Prog: prog, Graph: g}
-	pass.buildAllowIndex()
-	if err := a.RunProgram(pass); err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
-	}
-	fset := prog.Fset
-	sort.Slice(pass.diags, func(i, j int) bool {
-		pi, pj := fset.Position(pass.diags[i].Pos), fset.Position(pass.diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return pass.diags[i].Message < pass.diags[j].Message
-	})
-	return pass.diags, nil
 }

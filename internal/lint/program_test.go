@@ -1,38 +1,15 @@
 package lint
 
 import (
-	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenProgram runs one whole-program analyzer over a multi-package
-// testdata tree (loaded via LoadTree so cross-package type identity holds)
-// and compares its diagnostics against the `// want` expectations collected
-// from every file in the tree.
-func goldenProgram(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	root := filepath.Join("testdata", "src", name)
-	prog, err := LoadTree(root, "cohort/lint-testdata/"+name)
-	if err != nil {
-		t.Fatalf("load tree %s: %v", root, err)
-	}
-	diags, err := RunOnProgram(a, prog, nil)
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
-	var all []*ast.File
-	for _, pkg := range prog.Pkgs {
-		all = append(all, pkg.Files...)
-	}
-	checkWants(t, prog.Fset, all, diags)
-}
-
-func TestHotAllocGolden(t *testing.T)      { goldenProgram(t, HotAllocAnalyzer, "hotalloc") }
-func TestReachContractGolden(t *testing.T) { goldenProgram(t, ReachContractAnalyzer, "reachcontract") }
-func TestParallelPureGolden(t *testing.T)  { goldenProgram(t, ParallelPureAnalyzer, "parallelpure") }
+func TestHotAllocGolden(t *testing.T)      { golden(t, HotAllocAnalyzer, "hotalloc") }
+func TestReachContractGolden(t *testing.T) { golden(t, ReachContractAnalyzer, "reachcontract") }
+func TestParallelPureGolden(t *testing.T)  { golden(t, ParallelPureAnalyzer, "parallelpure") }
 
 // writeTree materializes a map of relative path → source into dir.
 func writeTree(t *testing.T, dir string, files map[string]string) {
@@ -48,25 +25,14 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// runSeeded loads a synthetic tree, runs one program analyzer, and returns
-// the diagnostic messages.
+// runSeeded writes a synthetic tree, runs one analyzer over it, and
+// returns the diagnostic messages.
 func runSeeded(t *testing.T, a *Analyzer, files map[string]string) []string {
 	t.Helper()
 	dir := t.TempDir()
 	writeTree(t, dir, files)
-	prog, err := LoadTree(dir, "cohort/seeded")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	diags, err := RunOnProgram(a, prog, nil)
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
-	msgs := make([]string, len(diags))
-	for i, d := range diags {
-		msgs[i] = d.Message
-	}
-	return msgs
+	_, diags := runTree(t, a, dir, "cohort/seeded")
+	return diagMessages(diags)
 }
 
 // TestSeededRegressions plants the three canonical contract violations the

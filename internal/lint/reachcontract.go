@@ -18,10 +18,10 @@ var ReachContractAnalyzer = &Analyzer{
 	Name: "reachcontract",
 	Doc: "enforce the walltime/globalrand/maprange/floataccum contracts " +
 		"transitively from //cohort:hotpath roots over the whole-program call graph",
-	RunProgram: runReachContract,
+	Run: runReachContract,
 }
 
-func runReachContract(pass *ProgramPass) error {
+func runReachContract(pass *Pass) {
 	reach, parent := pass.Graph.Reachable(HotFull, HotDeterminism)
 	cycle := programCycleType(pass.Prog)
 	for _, n := range pass.Graph.Nodes {
@@ -31,7 +31,6 @@ func runReachContract(pass *ProgramPass) error {
 		path := CallPath(parent, n)
 		checkContracts(pass, n, cycle, path)
 	}
-	return nil
 }
 
 // programCycleType resolves the sim.Cycle type for the floataccum contract:
@@ -56,7 +55,7 @@ func programCycleType(prog *Program) types.Type {
 
 // checkContracts scans one reachable node's own statements for contract
 // violations.
-func checkContracts(pass *ProgramPass, n *CGNode, cycle types.Type, path string) {
+func checkContracts(pass *Pass, n *CGNode, cycle types.Type, path string) {
 	info := n.Pkg.Info
 	root := ast.Node(n.Body)
 	if n.Lit != nil {

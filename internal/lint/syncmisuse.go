@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // SyncMisuseAnalyzer catches the sync-primitive misuse patterns that
@@ -34,10 +33,10 @@ var SyncMisuseAnalyzer = &Analyzer{
 	Name: "syncmisuse",
 	Doc: "copied locks, WaitGroup.Add inside the spawned goroutine, double unlock " +
 		"on a path, and cross-goroutine channel close without //cohort:chanowner",
-	RunProgram: runSyncMisuse,
+	Run: runSyncMisuse,
 }
 
-func runSyncMisuse(pass *ProgramPass) error {
+func runSyncMisuse(pass *Pass) {
 	lockCache := make(map[types.Type]bool)
 	chanOwner := collectChanOwners(pass)
 	for _, pkg := range pass.Prog.Pkgs {
@@ -50,7 +49,6 @@ func runSyncMisuse(pass *ProgramPass) error {
 		checkDoubleUnlock(pass, n)
 	}
 	checkChanClose(pass, chanOwner)
-	return nil
 }
 
 // ---- copied locks ----
@@ -111,7 +109,7 @@ func copySource(e ast.Expr) bool {
 	return false
 }
 
-func checkLockCopies(pass *ProgramPass, info *types.Info, f *ast.File, cache map[types.Type]bool) {
+func checkLockCopies(pass *Pass, info *types.Info, f *ast.File, cache map[types.Type]bool) {
 	reportCopy := func(e ast.Expr, how string) {
 		t := info.TypeOf(e)
 		if t == nil || !containsLock(t, cache) {
@@ -166,7 +164,7 @@ func shortQualifier(p *types.Package) string { return p.Name() }
 
 // ---- WaitGroup.Add inside the spawned goroutine ----
 
-func checkWaitGroupAdd(pass *ProgramPass, info *types.Info, f *ast.File) {
+func checkWaitGroupAdd(pass *Pass, info *types.Info, f *ast.File) {
 	ast.Inspect(f, func(x ast.Node) bool {
 		gs, ok := x.(*ast.GoStmt)
 		if !ok {
@@ -199,7 +197,7 @@ func checkWaitGroupAdd(pass *ProgramPass, info *types.Info, f *ast.File) {
 
 // ---- double unlock on a straight-line path ----
 
-func checkDoubleUnlock(pass *ProgramPass, n *CGNode) {
+func checkDoubleUnlock(pass *Pass, n *CGNode) {
 	events := nodeLockEvents(pass.Graph, n)
 	fset := pass.Prog.Fset
 	// Track, per lock class: how many holds the linear walk has seen, and
@@ -253,7 +251,7 @@ type chanUsage struct {
 // collectChanOwners gathers send and close sites per channel object across
 // the program, attributing each to its enclosing call-graph node (a function
 // literal is its own node — and, under a go statement, its own goroutine).
-func collectChanOwners(pass *ProgramPass) map[types.Object]*chanUsage {
+func collectChanOwners(pass *Pass) map[types.Object]*chanUsage {
 	usage := make(map[types.Object]*chanUsage)
 	record := func(pkg *Package, stack []ast.Node, obj types.Object, display string, pos token.Pos, isClose bool) {
 		u := usage[obj]
@@ -307,8 +305,8 @@ func collectChanOwners(pass *ProgramPass) map[types.Object]*chanUsage {
 
 // checkChanClose reports channels closed in a different call-graph node than
 // one that sends on them, unless the declaration carries //cohort:chanowner.
-func checkChanClose(pass *ProgramPass, usage map[types.Object]*chanUsage) {
-	owners := chanOwnerIndex(pass)
+func checkChanClose(pass *Pass, usage map[types.Object]*chanUsage) {
+	owners := chanOwnerLines(pass)
 	objs := make(map[types.Object]string, len(usage))
 	//cohort:allow maprange: collect-then-sort via sortedLockObjects
 	for o, u := range usage {
@@ -319,8 +317,8 @@ func checkChanClose(pass *ProgramPass, usage map[types.Object]*chanUsage) {
 		if len(u.closes) == 0 || len(u.sends) == 0 {
 			continue
 		}
-		declPos := posKey(pass.Prog.Fset, obj.Pos())
-		if owners[declPos] {
+		decl := pass.Prog.Fset.Position(obj.Pos())
+		if owners[lineKey{decl.Filename, decl.Line}] {
 			continue
 		}
 		for _, cl := range u.closes {
@@ -341,33 +339,24 @@ func checkChanClose(pass *ProgramPass, usage map[types.Object]*chanUsage) {
 	}
 }
 
-// chanOwnerIndex scans every file for //cohort:chanowner annotations and
-// returns the (file, line) keys they cover: the annotation's own line and
-// the next (annotation above the declaration). A chanowner annotation with
-// no reason is itself reported — the waiver must be reviewable, exactly like
-// //cohort:allow.
-func chanOwnerIndex(pass *ProgramPass) map[allowKey]bool {
-	idx := make(map[allowKey]bool)
-	for _, pkg := range pass.Prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, "cohort:chanowner") {
-						continue
-					}
-					reason := strings.TrimSpace(strings.TrimPrefix(text, "cohort:chanowner"))
-					if reason == "" {
-						pass.Reportf(c.Pos(), "cohort:chanowner annotation has no reason; "+
-							"state who owns the close and why")
-						continue
-					}
-					pos := pass.Prog.Fset.Position(c.Pos())
-					idx[allowKey{pos.Filename, pos.Line}] = true
-					idx[allowKey{pos.Filename, pos.Line + 1}] = true
-				}
-			}
+// chanOwnerLines returns the lines the //cohort:chanowner annotations cover:
+// the annotation's own line and the next (annotation above the
+// declaration). A chanowner annotation with no reason is itself reported —
+// the waiver must be reviewable, exactly like //cohort:allow.
+func chanOwnerLines(pass *Pass) map[lineKey]bool {
+	lines := make(map[lineKey]bool)
+	for _, d := range pass.Prog.dirs.list {
+		if d.kind != "chanowner" {
+			continue
+		}
+		if d.arg == "" {
+			pass.Reportf(d.pos, "cohort:chanowner annotation has no reason; "+
+				"state who owns the close and why")
+			continue
+		}
+		for _, k := range coveredLines(pass.Prog.Fset, d.pos) {
+			lines[k] = true
 		}
 	}
-	return idx
+	return lines
 }

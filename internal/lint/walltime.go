@@ -31,23 +31,24 @@ var WallTimeAnalyzer = &Analyzer{
 	Run: runWallTime,
 }
 
-func runWallTime(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+func runWallTime(pass *Pass) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				if fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()] {
+					pass.Reportf(sel.Pos(), "wall-clock read time.%s in simulator code; "+
+						"simulated time must come from the sim.Engine cycle counter", fn.Name())
+				}
 				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil {
-				return true
-			}
-			if fn.Pkg().Path() == "time" && wallClockFuncs[fn.Name()] {
-				pass.Reportf(sel.Pos(), "wall-clock read time.%s in simulator code; "+
-					"simulated time must come from the sim.Engine cycle counter", fn.Name())
-			}
-			return true
-		})
+			})
+		}
 	}
-	return nil
 }

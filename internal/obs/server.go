@@ -25,10 +25,9 @@ var (
 // DebugServer is the opt-in (-listen) HTTP surface over a live process: the
 // Prometheus exposition of a registry plus the RunTracker's progress
 // counters on /metrics, the tracker's JSON sample on /runs, a liveness
-// probe on /healthz, and the runtime profiler under /debug/pprof/. It is
-// deliberately shaped as the seed of the cohort-serve daemon (ROADMAP):
-// a long-lived listener beside a batch computation, sharing nothing with
-// the deterministic result path — every payload it serves is explicitly
+// probe on /healthz, and the runtime profiler under /debug/pprof/. It is a
+// long-lived listener beside a batch computation, sharing nothing with the
+// deterministic result path — every payload it serves is explicitly
 // scheduling-dependent and never enters canonical output.
 //
 // The handlers run on their own goroutines inside net/http; they touch the

@@ -144,39 +144,3 @@ func LowestFeasibleMode(tasks []Task, boundsPerMode [][]analysis.CoreBound, from
 	}
 	return 0, nil, false, nil
 }
-
-// UtilizationSchedulable runs an EDF utilization test for multiple tasks
-// sharing cores: per core, Σ WCET_j / Deadline_j ≤ 1 (implicit deadlines =
-// periods). The paper leaves task scheduling open ("we do not impose
-// constraints on how task scheduling is done", §II); this is the standard
-// single-core admission test layered over the WCML bounds. Degraded tasks
-// (criticality below mode) are excluded — they run best-effort.
-func UtilizationSchedulable(tasks []Task, bounds []analysis.CoreBound, mode, levels int) (perCore []float64, ok bool, err error) {
-	if mode < 1 || mode > levels {
-		return nil, false, fmt.Errorf("sched: mode %d out of range [1,%d]", mode, levels)
-	}
-	perCore = make([]float64, len(bounds))
-	ok = true
-	for i := range tasks {
-		t := &tasks[i]
-		if err := t.Validate(len(bounds), levels); err != nil {
-			return nil, false, err
-		}
-		if t.Criticality < mode {
-			continue // degraded: best effort
-		}
-		wcet := t.WCET(bounds[t.Core].WCMLBound)
-		if wcet == analysis.Unbounded {
-			perCore[t.Core] = 2 // sentinel: trivially over-utilized
-			ok = false
-			continue
-		}
-		perCore[t.Core] += float64(wcet) / float64(t.Deadline)
-	}
-	for _, u := range perCore {
-		if u > 1 {
-			ok = false
-		}
-	}
-	return perCore, ok, nil
-}

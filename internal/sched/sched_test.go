@@ -148,51 +148,3 @@ func TestLowestFeasibleMode(t *testing.T) {
 		t.Fatalf("hopeless set: ok=%v err=%v", ok, err)
 	}
 }
-
-func TestUtilizationSchedulable(t *testing.T) {
-	// Two tasks on core 0, one on core 1.
-	tasks := []Task{
-		{Name: "a", Core: 0, Criticality: 2, ComputeCycles: 100, Deadline: 10_000},
-		{Name: "b", Core: 0, Criticality: 2, ComputeCycles: 100, Deadline: 20_000},
-		{Name: "c", Core: 1, Criticality: 1, ComputeCycles: 0, Deadline: 1_000},
-	}
-	bounds := []analysis.CoreBound{bound(0, 4000), bound(1, 500)}
-	util, ok, err := UtilizationSchedulable(tasks, bounds, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Core 0: 4100/10000 + 4100/20000 = 0.615; core 1: 0.5.
-	if !ok {
-		t.Fatalf("should be schedulable: util = %v", util)
-	}
-	if util[0] < 0.61 || util[0] > 0.62 {
-		t.Fatalf("core 0 utilization = %f", util[0])
-	}
-	// Overload core 0.
-	tasks = append(tasks, Task{Name: "d", Core: 0, Criticality: 2, Deadline: 5_000})
-	_, ok, err = UtilizationSchedulable(tasks, bounds, 1, 2)
-	if err != nil || ok {
-		t.Fatalf("overload not detected: ok=%v err=%v", ok, err)
-	}
-	// At mode 2 the criticality-1 task is excluded from the test.
-	lowOnly := []Task{{Name: "lo", Core: 0, Criticality: 1, Deadline: 1}}
-	util, ok, err = UtilizationSchedulable(lowOnly, bounds, 2, 2)
-	if err != nil || !ok || util[0] != 0 {
-		t.Fatalf("degraded exclusion broken: util=%v ok=%v err=%v", util, ok, err)
-	}
-	// Unbounded WCET on a guaranteed task fails.
-	ub := []Task{{Name: "u", Core: 0, Criticality: 2, Deadline: 100}}
-	ubBounds := []analysis.CoreBound{{Core: 0, WCMLBound: analysis.Unbounded}}
-	_, ok, err = UtilizationSchedulable(ub, ubBounds, 1, 2)
-	if err != nil || ok {
-		t.Fatalf("unbounded WCET accepted: ok=%v err=%v", ok, err)
-	}
-	// Validation errors propagate.
-	if _, _, err := UtilizationSchedulable(tasks, bounds, 0, 2); err == nil {
-		t.Fatal("bad mode accepted")
-	}
-	bad := []Task{{Name: "x", Core: 9, Criticality: 1, Deadline: 1}}
-	if _, _, err := UtilizationSchedulable(bad, bounds, 1, 2); err == nil {
-		t.Fatal("bad task accepted")
-	}
-}

@@ -190,14 +190,6 @@ func (t *Table) Markdown() string {
 	return b.String()
 }
 
-// Ratio formats a/b as "N.NNx"; "inf" when b is 0.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
-}
-
 // Cycles formats a cycle count with thousands separators for readability.
 func Cycles(v int64) string {
 	s := fmt.Sprintf("%d", v)

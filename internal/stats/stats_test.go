@@ -82,15 +82,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(3, 2) != "1.50x" {
-		t.Fatalf("Ratio = %s", Ratio(3, 2))
-	}
-	if Ratio(1, 0) != "inf" {
-		t.Fatalf("Ratio(1,0) = %s", Ratio(1, 0))
-	}
-}
-
 func TestCyclesFormatting(t *testing.T) {
 	cases := map[int64]string{
 		0:        "0",
